@@ -30,7 +30,6 @@ from .graevmetric import (
     enumeration_cap,
     graev_bidistance,
     graev_distance,
-    graev_norm,
     graev_norm_bruteforce,
     graev_norm_dp,
 )

@@ -16,6 +16,7 @@ from typing import IO
 
 from .errors import ResourceLimitError
 from .freegroup import (
+    Letter,
     Point,
     Rat,
     ReducedWord,
@@ -28,7 +29,7 @@ from .freegroup import (
     parse_word,
     reduce_word,
 )
-from .graevmetric import enumeration_cap, graev_norm_dp
+from .graevmetric import enumeration_cap, graev_norm_bruteforce
 from .matching import count_matches, enumerate_matches
 from .reports import VerificationReport
 from .sampling import exhaustive_reduced_words, sample_corpus, sample_distinct_pairs
@@ -99,15 +100,8 @@ def _default_points(level: int) -> list[Point]:
     return [p for p in points if not (p in seen or seen.add(p))]
 
 
-def _probe_letters() -> list:
-    from .freegroup import Letter
-
-    out = []
-    for coords in ((), (1,), (1, 2), (0, 0, 3)):
-        p = Point(coords)
-        out.append(Letter(1, p))
-        out.append(Letter(-1, p))
-    return out
+def _probe_letters() -> list[Letter]:
+    return [Letter(s, Point(c)) for c in ((), (1,), (1, 2), (0, 0, 3)) for s in (1, -1)]
 
 
 _DEFAULT_R_GRID = (Rat(0), Rat(1, 4), Rat(1, 2), Rat(1), Rat(2))
@@ -123,13 +117,10 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     rw = reduce_word(w)
     if args.scale is None:
         if args.bruteforce:
-            from .graevmetric import graev_norm_bruteforce
-
             result = graev_norm_bruteforce(rw)
-            value, witness = result.value, result.witness
         else:
-            value = graev_norm_dp(rw)
-            witness = norm_theta_min(rw, TRIVIAL_SCALE).witness
+            result = norm_theta_min(rw, TRIVIAL_SCALE)
+        value, witness = result.value, result.witness
         if args.json:
             print(
                 json.dumps(
@@ -172,19 +163,17 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 def _cmd_dist(args: argparse.Namespace) -> int:
     u = reduce_word(parse_word(args.left))
     v = reduce_word(parse_word(args.right))
-    forward = multiply(invert(u), v)
-    backward = multiply(u, invert(v))
-    value = graev_norm_dp(forward) + graev_norm_dp(backward)
+    delta = norm_theta_min(multiply(invert(u), v), TRIVIAL_SCALE)
+    delta_inverse = norm_theta_min(multiply(u, invert(v)), TRIVIAL_SCALE)
+    value = delta.value + delta_inverse.value
     if args.json:
         print(
             json.dumps(
                 {
                     "value": format_rat(value),
                     "witness": {
-                        "delta": norm_theta_min(forward, TRIVIAL_SCALE).witness.serialize(),
-                        "delta_inverse": norm_theta_min(
-                            backward, TRIVIAL_SCALE
-                        ).witness.serialize(),
+                        "delta": delta.witness.serialize(),
+                        "delta_inverse": delta_inverse.witness.serialize(),
                     },
                     "reduced_input": [format_word(u), format_word(v)],
                 },

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterator
 
 Rat = Fraction
@@ -37,9 +38,6 @@ class Point:
     @property
     def depth(self) -> int:
         return len(self.coords)
-
-    def coordinate(self, k: int) -> int:
-        return self.coords[k] if 0 <= k < len(self.coords) else 0
 
     def truncate(self, n: int) -> "Point":
         """Zero out every coordinate at index >= n."""
@@ -85,14 +83,18 @@ def neg(*coords: int) -> Letter:
     return Letter(-1, Point(coords))
 
 
+def first_difference(p: Point, q: Point) -> int | None:
+    """Least k with p(k) != q(k), or None when the points are equal."""
+    for k, (a, b) in enumerate(zip_longest(p.coords, q.coords, fillvalue=0)):
+        if a != b:
+            return k
+    return None
+
+
 def point_distance(p: Point, q: Point) -> Rat:
     """max{2^{-k} : p(k) != q(k)}, and 0 when the points are equal."""
-    if p == q:
-        return ZERO
-    for k in range(max(p.depth, q.depth)):
-        if p.coordinate(k) != q.coordinate(k):
-            return Rat(1, 2**k)
-    raise AssertionError("distinct canonical points must differ somewhere")
+    k = first_difference(p, q)
+    return ZERO if k is None else Rat(1, 1 << k)
 
 
 def letter_distance(a: Letter, b: Letter) -> Rat:

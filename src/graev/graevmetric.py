@@ -3,15 +3,16 @@
 Two independent routes compute the same minimum-cost rewriting over
 non-crossing matchings: explicit enumeration (the permanent oracle, capped
 because match counts grow like Motzkin numbers) and a cubic interval
-dynamic program (the uncapped scalable path).  Arcs incident to the left
-end of an interval split a non-crossing matching into independent
-sub-intervals, which is exactly the DP recurrence.
+dynamic program (the uncapped scalable path) that also returns a
+minimizing match.  Both run on exact integers in units of 2^-max_depth,
+since every letter distance is a multiple of it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import add
 
 from .errors import ResourceLimitError
 from .freegroup import (
@@ -19,7 +20,7 @@ from .freegroup import (
     Rat,
     ReducedWord,
     Word,
-    ZERO,
+    first_difference,
     invert,
     letter_distance,
     multiply,
@@ -51,24 +52,32 @@ class NormResult:
     witness: Match
 
 
-def _cost_tables(letters: tuple) -> tuple[list[Rat], list[list[Rat]]]:
-    # fix[i] = d(e, x_i); arc[i][k] = d(x_k, x_i^{-1}) for i < k
+def _unit_costs(w: Word) -> tuple[int, list[int], list[list[int]]]:
+    # Letter distances in units of 2^-max_depth: fix[i] = d(e, x_i), pair[i][j]
+    # = d(x_i^{-1}, x_j) for i < j; 1 across signs (the identity included), 0
+    # between identities, else 2^-k at the first coordinate k where points differ.
+    letters = w.letters
     n = len(letters)
-    fix = [letter_distance(IDENTITY, x) for x in letters]
-    arc = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        inv_i = letters[i].inverse()
-        for k in range(i + 1, n):
-            arc[i][k] = letter_distance(letters[k], inv_i)
-    return fix, arc
+    top = 1 << w.max_depth
+    fix = [top if x.sign else 0 for x in letters]
+    pair = [[0] * n for _ in range(n)]
+    for i, x in enumerate(letters):
+        sign, row = -x.sign, pair[i]
+        for j in range(i + 1, n):
+            y = letters[j]
+            if y.sign != sign:
+                row[j] = top
+            elif sign:
+                k = first_difference(x.point, y.point)
+                row[j] = 0 if k is None else top >> k
+    return top, fix, pair
 
 
 def graev_norm_bruteforce(w: Word, cap: int | None = None) -> NormResult:
     """Minimize the rewrite cost over every match, by enumeration.
 
-    The input is reduced first.  All letter distances are dyadic, so the
-    inner minimization runs on integers scaled by 2^(max depth); the result
-    is exact.  Ties go to the first minimizer in enumeration order.
+    The input is reduced first and costs come from the same integer table
+    as the DP.  Ties go to the first minimizer in enumeration order.
     """
     rw = reduce_word(w)
     n = len(rw)
@@ -78,59 +87,54 @@ def graev_norm_bruteforce(w: Word, cap: int | None = None) -> NormResult:
             f"reduced word has length {n}, above the match enumeration cap {limit}; "
             f"set {MATCH_CAP_ENV} to raise it, or use the dynamic program"
         )
-    fix, arc = _cost_tables(rw.letters)
-    scale = 2**rw.max_depth
-    ifix = [int(c * scale) for c in fix]
-    iarc = [[int(c * scale) for c in row] for row in arc]
+    unit, fix, pair = _unit_costs(rw)
     best: int | None = None
     best_map: tuple[int, ...] = ()
     for mp in match_maps(n):
         cost = 0
         for i, t in enumerate(mp):
             if t == i:
-                cost += ifix[i]
+                cost += fix[i]
             elif t > i:
-                cost += iarc[i][t]
+                cost += pair[i][t]
         if best is None or cost < best:
             best, best_map = cost, mp
     assert best is not None
-    return NormResult(Rat(best, scale), Match(best_map))
+    return NormResult(Rat(best, unit), Match(best_map))
+
+
+def trivial_norm_dp(w: Word) -> tuple[Rat, list[list[int | None]]]:
+    """Minimum rewrite cost of w as spelled (not reduced), by an interval DP
+    on integers, and the choices match_from_choices turns into a minimizing
+    match.  C[i][j] pairs the ends, d(x_i^{-1}, x_j) + C[i+1][j-1], unless a
+    split C[i][k] + C[k+1][j] is strictly cheaper (then the first cheapest
+    k), as in scales.norm_theta_min, so both choose the same match."""
+    n = len(w)
+    if n == 1:  # skips the tables, which dominate the many one-letter calls
+        return letter_distance(IDENTITY, w.letters[0]), [[None]]
+    unit, fix, pair = _unit_costs(w)
+    row = [[0] * n for _ in range(n + 1)]  # row[i][j] = C[i][j], 0 for j < i and i = n
+    col = [[0] * n for _ in range(n)]  # col[j][i] = C[i][j]
+    choice: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        here, inner, pair_i, choice_i = row[i], row[i + 1], pair[i], choice[i]
+        here[i] = col[i][i] = fix[i]
+        for j in range(i + 1, n):
+            there = col[j]
+            best = pair_i[j] + inner[j - 1]
+            splits = list(map(add, here[i:j], there[i + 1 : j + 1]))
+            cheapest = min(splits)
+            if cheapest < best:
+                best = cheapest
+                choice_i[j] = i + splits.index(cheapest)
+            here[j] = there[i] = best
+    return Rat(row[0][n - 1], unit), choice
 
 
 def graev_norm_dp(w: Word) -> Rat:
-    """Same minimum as the brute force, by interval dynamic programming.
-
-    C[i][j] = min over: fixing i (d(e, x_i) + C[i+1][j]) or pairing i with
-    some k in (i, j] (d(x_k, x_i^{-1}) + C[i+1][k-1] + C[k+1][j]); empty
-    intervals cost 0.  Uncapped; cubic in the reduced length.
-    """
-    rw = reduce_word(w)
-    ls = rw.letters
-    n = len(ls)
-    fix, arc = _cost_tables(ls)
-    C = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        C[i][i] = fix[i]
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            j = i + span - 1
-            best = fix[i] + C[i + 1][j]
-            arc_i = arc[i]
-            for k in range(i + 1, j + 1):
-                cand = arc_i[k]
-                if k > i + 1:
-                    cand += C[i + 1][k - 1]
-                if k < j:
-                    cand += C[k + 1][j]
-                if cand < best:
-                    best = cand
-            C[i][j] = best
-    return C[0][n - 1]
-
-
-def graev_norm(w: Word) -> Rat:
-    """The Graev norm (distance to the identity), via the DP route."""
-    return graev_norm_dp(w)
+    """Same minimum as the brute force, by the interval DP on the reduced
+    word.  Uncapped; cubic in the reduced length."""
+    return trivial_norm_dp(reduce_word(w))[0]
 
 
 def graev_distance(u: ReducedWord, v: ReducedWord) -> Rat:

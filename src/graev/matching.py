@@ -34,6 +34,28 @@ class Match:
         return " ".join(str(v) for v in self.map)
 
 
+def match_from_choices(choice, n: int) -> Match:
+    """Rebuild the match an interval DP chose on {0,...,n-1}, iteratively.
+
+    choice[i][j] (i < j) is None when the DP paired the ends i and j
+    around the inner interval, or the k (i <= k < j) where it split the
+    interval into [i, k] and [k+1, j].  Single positions are fixed points.
+    """
+    mp = list(range(n))
+    pending = [(0, n - 1)]
+    while pending:
+        i, j = pending.pop()
+        while i < j:
+            k = choice[i][j]
+            if k is None:
+                mp[i], mp[j] = j, i
+                i, j = i + 1, j - 1
+            else:
+                pending.append((k + 1, j))
+                j = k
+    return Match(tuple(mp))
+
+
 def is_match(candidate: Sequence[int]) -> bool:
     """True iff candidate is an involution with no crossing arcs.
 

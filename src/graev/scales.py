@@ -35,8 +35,8 @@ from .freegroup import (
     multiply,
     reduce_word,
 )
-from .graevmetric import NormResult, graev_norm_dp
-from .matching import Match, is_match
+from .graevmetric import NormResult, graev_norm_dp, trivial_norm_dp
+from .matching import Match, is_match, match_from_choices
 from .reports import CheckCase, VerificationReport
 
 
@@ -163,12 +163,16 @@ def norm_theta_min(w: Word, scale: Scale) -> NormResult:
 
     The pair-ends branch may take the minimal inner value because scales
     are monotone in their second argument.  The input word is used as
-    given (it is not reduced); a minimizing match is reconstructed.
+    given (it is not reduced); a minimizing match is reconstructed.  The
+    trivial scale runs graevmetric.trivial_norm_dp, this DP on integers.
     """
     ls = w.letters
     n = len(ls)
+    if scale is TRIVIAL_SCALE:
+        value, choice = trivial_norm_dp(w)
+        return NormResult(value, match_from_choices(choice, n))
     val: list[list[Rat]] = [[ZERO] * n for _ in range(n)]
-    act: list[list[tuple]] = [[()] * n for _ in range(n)]
+    choice: list[list[int | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         val[i][i] = letter_distance(IDENTITY, ls[i])
     for span in range(2, n + 1):
@@ -178,32 +182,12 @@ def norm_theta_min(w: Word, scale: Scale) -> NormResult:
             y = ls[j]
             inner = val[i + 1][j - 1] if span > 2 else ZERO
             best = letter_distance(x, y) + max(scale(x, inner), scale(y, inner))
-            choice: tuple = ("pair",)
             for k in range(i, j):
                 cand = val[i][k] + val[k + 1][j]
                 if cand < best:
-                    best, choice = cand, ("split", k)
-            val[i][j], act[i][j] = best, choice
-
-    mp = [0] * n
-
-    def fill(i: int, j: int) -> None:
-        if i > j:
-            return
-        if i == j:
-            mp[i] = i
-            return
-        c = act[i][j]
-        if c[0] == "pair":
-            mp[i], mp[j] = j, i
-            fill(i + 1, j - 1)
-        else:
-            k = c[1]
-            fill(i, k)
-            fill(k + 1, j)
-
-    fill(0, n - 1)
-    return NormResult(val[0][n - 1], Match(tuple(mp)))
+                    best, choice[i][j] = cand, k
+            val[i][j] = best
+    return NormResult(val[0][n - 1], match_from_choices(choice, n))
 
 
 # ---------------------------------------------------------------------------

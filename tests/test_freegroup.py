@@ -13,6 +13,7 @@ from graev.freegroup import (
     Point,
     Word,
     WordSyntaxError,
+    first_difference,
     format_word,
     invert,
     is_reduced,
@@ -20,6 +21,7 @@ from graev.freegroup import (
     multiply,
     neg,
     parse_word,
+    point_distance,
     pos,
     reduce_word,
     word,
@@ -74,6 +76,14 @@ def test_letter_distance_examples():
     assert letter_distance(pos(1, 2), pos(1, 2)) == 0
     assert letter_distance(pos(1, 2), pos(1, 3)) == F(1, 2)
     assert letter_distance(neg(1), pos(2)) == 1
+
+
+def test_first_difference():
+    assert first_difference(Point((1, 2)), Point((1, 2))) is None
+    assert first_difference(Point(()), Point((0, 3))) == 1
+    # coordinates past the shorter point are zero, not a difference
+    assert first_difference(Point((1,)), Point((1, 0, 3))) == 2
+    assert point_distance(Point((1,)), Point((1, 0, 3))) == F(1, 4)
 
 
 def test_letter_distance_identity_and_signs():

@@ -9,6 +9,7 @@ from graev.matching import (
     count_matches,
     enumerate_matches,
     is_match,
+    match_from_choices,
     rho,
 )
 
@@ -126,3 +127,24 @@ def test_rho_length_mismatch():
 
 def test_match_serialization():
     assert Match((3, 2, 1, 0)).serialize() == "3 2 1 0"
+
+
+# --- witness reconstruction from DP choices -----------------------------------
+
+
+def test_match_from_choices_small():
+    # [0, 3] splits at 1; [0, 1] and [2, 3] pair their ends
+    choice = [[None, None, None, 1], [None] * 4, [None] * 4, [None] * 4]
+    assert match_from_choices(choice, 4).map == (1, 0, 3, 2)
+    assert match_from_choices([[None]], 1).map == (0,)
+
+
+def test_match_from_choices_deep_nesting_is_iterative():
+    # 3,000 nested pairs around a fixed point, then 3,000 chained splits into
+    # fixed points: a recursive rebuild would need a frame per level
+    depth = 3000
+    n = 2 * depth + 1
+    nested = [{n - 1 - i: None} for i in range(depth)] + [{}] * (depth + 1)
+    assert match_from_choices(nested, n).map == tuple(reversed(range(n)))
+    chained = [{j: j - 1 for j in range(1, n)}]
+    assert match_from_choices(chained, n).map == tuple(range(n))

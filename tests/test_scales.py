@@ -152,11 +152,18 @@ def test_norm_theta_min_matches_enumeration():
             assert norm_theta(w, res.witness, scale) == res.value
 
 
-def test_norm_theta_min_trivial_equals_graev_dp():
+def test_norm_theta_min_trivial_kernel_equals_generic_dp():
+    # the trivial scale runs the integer kernel; an equal scale that is a
+    # different object runs the generic rational DP, which must agree on
+    # the value and pick the same witness
+    trivial_copy = Scale("trivial-copy", lambda x, r: r)
     rng = random.Random(29)
-    for _ in range(150):
-        w = random_raw_word(rng, rng.randint(1, 9))
-        assert norm_theta_min(w, TRIVIAL_SCALE).value == graev_norm_dp(w)
+    for _ in range(300):
+        w = random_raw_word(rng, rng.randint(1, 14))
+        kernel = norm_theta_min(w, TRIVIAL_SCALE)
+        generic = norm_theta_min(w, trivial_copy)
+        assert kernel.value == generic.value
+        assert kernel.witness.map == generic.witness.map
 
 
 def test_norm_theta_min_examples():
