@@ -47,12 +47,15 @@ class Scale:
     name: str
     evaluate: Callable[[Letter, Rat], Rat]
     declared_regular: bool = False
+    declared_dominating: bool = False  # scale(x, r) >= r for every r >= 0
 
     def __call__(self, x: Letter, r: Rat) -> Rat:
         return self.evaluate(x, r)
 
 
-TRIVIAL_SCALE = Scale("trivial", lambda x, r: r, declared_regular=True)
+TRIVIAL_SCALE = Scale(
+    "trivial", lambda x, r: r, declared_regular=True, declared_dominating=True
+)
 
 
 def _default_coefficient(k: int) -> Rat:
@@ -61,7 +64,8 @@ def _default_coefficient(k: int) -> Rat:
 
 def weighted_scale(coefficients: Sequence[Rat] | None = None, name: str = "weighted") -> Scale:
     """Scale multiplying by 1 + sum_k x(k)*c_k; inverse-symmetric, regular
-    for nonnegative coefficients.  Default coefficients are 4^{-(k+1)}."""
+    and dominating for nonnegative coefficients (coordinates are naturals,
+    so the factor is then at least 1).  Default coefficients are 4^{-(k+1)}."""
     coeffs = None if coefficients is None else tuple(Rat(c) for c in coefficients)
     weights: dict[Point, Rat] = {}
 
@@ -82,7 +86,8 @@ def weighted_scale(coefficients: Sequence[Rat] | None = None, name: str = "weigh
             return r
         return r * weight(x.point)
 
-    return Scale(name, evaluate, declared_regular=True)
+    dominating = coeffs is None or all(c >= 0 for c in coeffs)
+    return Scale(name, evaluate, declared_regular=True, declared_dominating=dominating)
 
 
 def load_scale_file(path: str) -> Scale:
@@ -250,22 +255,33 @@ def norm_bounds(
     from the reduced w by inserting up to insertion_budget adjacent
     cancelling pairs from insertion_alphabet(w); each extra budget level
     only grows the candidate set, so the upper bound never increases.
+    Ties keep the first spelling in search order, the reduced w first.
+
+    Every spelling is generated (and counted against the cap) before any is
+    evaluated.  For a scale declared dominating, no spelling costs less than
+    lower, so the evaluation stops once the upper bound reaches lower; the
+    result is the same as that of the full search.
     """
     if insertion_budget < 0:
         raise ValueError("insertion budget must be >= 0")
     rw = reduce_word(w)
     cap = DEFAULT_SEARCH_CAP if search_cap is None else search_cap
+    # spellings are tuples of indices into the alphabet, which is closed
+    # under inversion and holds every letter of rw
     alphabet = insertion_alphabet(rw)
-    seen: set[tuple[Letter, ...]] = {rw.letters}
-    order: list[tuple[Letter, ...]] = [rw.letters]
-    frontier: list[tuple[Letter, ...]] = [rw.letters]
+    index = {a: i for i, a in enumerate(alphabet)}
+    pairs = [(i, index[a.inverse()]) for i, a in enumerate(alphabet)]
+    start = tuple(index[x] for x in rw.letters)
+    seen: set[tuple[int, ...]] = {start}
+    order: list[tuple[int, ...]] = [start]
+    frontier: list[tuple[int, ...]] = [start]
     for _ in range(insertion_budget):
-        grown: list[tuple[Letter, ...]] = []
+        grown: list[tuple[int, ...]] = []
         for base in frontier:
             for p in range(len(base) + 1):
                 head, tail = base[:p], base[p:]
-                for a in alphabet:
-                    cand = head + (a, a.inverse()) + tail
+                for pair in pairs:
+                    cand = head + pair + tail
                     if cand not in seen:
                         if len(seen) >= cap:
                             raise ResourceLimitError(
@@ -276,15 +292,17 @@ def norm_bounds(
                         grown.append(cand)
                         order.append(cand)
         frontier = grown
-    best: NormResult | None = None
+    best = norm_theta_min(rw, scale)
     best_word = rw
-    for letters in order:
-        cand_word = Word(letters)
+    lower = best.value if scale is TRIVIAL_SCALE else graev_norm_dp(rw)
+    for spelling in order[1:]:
+        if scale.declared_dominating and best.value == lower:
+            break
+        cand_word = Word(tuple(alphabet[i] for i in spelling))
         res = norm_theta_min(cand_word, scale)
-        if best is None or res.value < best.value:
+        if res.value < best.value:
             best, best_word = res, cand_word
-    assert best is not None
-    return BoundedNorm(graev_norm_dp(rw), best.value, best_word, best.witness)
+    return BoundedNorm(lower, best.value, best_word, best.witness)
 
 
 def scale_distance_bounds(

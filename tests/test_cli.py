@@ -4,7 +4,7 @@ import json
 import pytest
 
 from graev.cli import CorpusSyntaxError, main, parse_corpus
-from graev.freegroup import format_word, pos, word
+from graev.freegroup import format_word
 
 
 def run(capsys, *argv):

@@ -210,6 +210,95 @@ def test_norm_bounds_search_cap():
         norm_bounds(w, WEIGHTED, -1)
 
 
+def exhaustive_bounds(w, scale, budget, cap):
+    """The insertion search with no early exit: Letter-tuple spellings in
+    breadth-first order, each evaluated, the first strict minimum kept."""
+    rw = reduce_word(w)
+    alphabet = insertion_alphabet(rw)
+    seen = {rw.letters}
+    order = [rw.letters]
+    frontier = [rw.letters]
+    for _ in range(budget):
+        grown = []
+        for base in frontier:
+            for p in range(len(base) + 1):
+                for a in alphabet:
+                    cand = base[:p] + (a, a.inverse()) + base[p:]
+                    if cand not in seen:
+                        if len(seen) >= cap:
+                            raise ResourceLimitError(
+                                f"insertion search exceeded the candidate cap {cap}; "
+                                "lower the budget or raise the cap"
+                            )
+                        seen.add(cand)
+                        grown.append(cand)
+                        order.append(cand)
+        frontier = grown
+    best, best_word = None, None
+    for letters in order:
+        res = norm_theta_min(Word(letters), scale)
+        if best is None or res.value < best.value:
+            best, best_word = res, Word(letters)
+    return BoundedNorm(graev_norm_dp(rw), best.value, best_word, best.witness)
+
+
+def bounds_or_cap_error(search, *args):
+    try:
+        return search(*args)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+def test_norm_bounds_equals_exhaustive_search(tmp_path):
+    nonneg = tmp_path / "nonneg.scale"
+    nonneg.write_text("0 = 1/4\n2 = 3/8\n")
+    negative = tmp_path / "negative.scale"
+    negative.write_text("0 = -1/2\n1 = 1/3\n2 = -1/4\n")
+    scales = [
+        TRIVIAL_SCALE,
+        WEIGHTED,
+        load_scale_file(str(nonneg)),
+        load_scale_file(str(negative)),
+        broken_scale(),
+    ]
+    pts = [Point(()), Point((1,)), Point((1, 2)), Point((2,)), Point((0, 0, 3))]
+    rng = random.Random(53)
+    words = [word(Letter(s, p)) for p in pts for s in (1, -1)]
+    words += [sample_reduced_word(rng, pts, 2) for _ in range(6)]
+    for w in words:
+        for scale in scales:
+            # one-letter words of depth <= 1 have 10 spellings at budget 1,
+            # so caps 9 and 10 sit on either side of the cap error
+            for budget, cap in ((0, 400), (1, 9), (1, 10), (1, 400), (2, 400), (2, 40)):
+                args = (w, scale, budget, cap)
+                assert bounds_or_cap_error(norm_bounds, *args) == bounds_or_cap_error(
+                    exhaustive_bounds, *args
+                )
+
+
+def test_declared_dominating(tmp_path):
+    nonneg = tmp_path / "nonneg.scale"
+    nonneg.write_text("0 = 1/4\n1 = 0\n")
+    negative = tmp_path / "negative.scale"
+    negative.write_text("0 = 1/4\n1 = -1/8\n")
+    assert TRIVIAL_SCALE.declared_dominating
+    assert WEIGHTED.declared_dominating
+    assert load_scale_file(str(nonneg)).declared_dominating
+    assert not load_scale_file(str(negative)).declared_dominating
+    assert not Scale("bare", lambda x, r: r).declared_dominating
+
+
+def test_norm_bounds_searches_on_for_negative_coefficients(tmp_path):
+    # the reduced [1] costs 1 = lower, but [1]^-1 [1] [1] with its ends
+    # paired costs d([1], [1]) + (1/2) * 1: a search stopped at lower misses it
+    path = tmp_path / "negative.scale"
+    path.write_text("0 = -1/2\n")
+    scale = load_scale_file(str(path))
+    b = norm_bounds(word(pos(1)), scale, 1)
+    assert (b.lower, b.upper) == (1, F(1, 2))
+    assert b == exhaustive_bounds(word(pos(1)), scale, 1, 400)
+
+
 def test_insertion_alphabet_contents():
     w = word(pos(1, 2), neg(3))
     alphabet = insertion_alphabet(w)
