@@ -58,6 +58,7 @@ from .scales import (
 from .tower import (
     check_discreteness,
     check_extension_conditions,
+    check_lipschitz,
     check_lipschitz_distance,
     check_lipschitz_witness,
     project_letter,

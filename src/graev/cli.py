@@ -31,7 +31,6 @@ from .freegroup import (
 )
 from .graevmetric import enumeration_cap, graev_norm_bruteforce
 from .matching import count_matches, enumerate_matches
-from .reports import VerificationReport
 from .sampling import exhaustive_reduced_words, sample_corpus, sample_distinct_pairs
 from .scales import (
     Scale,
@@ -45,7 +44,7 @@ from .scales import (
 from .tower import (
     check_discreteness,
     check_extension_conditions,
-    check_lipschitz_distance,
+    check_lipschitz,
     project_word,
     separating_level,
 )
@@ -242,12 +241,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             corpus = exhaustive_reduced_words(points, 2)
             pairs = [(u, v) for i, u in enumerate(corpus) for v in corpus[i + 1 :]]
-        report = VerificationReport(
-            suite="lipschitz",
-            parameters={"level": str(args.level), "pairs": str(len(pairs))},
-        )
-        for u, v in pairs:
-            report.add(check_lipschitz_distance(u, v, args.level))
+        report = check_lipschitz(args.level, pairs)
     elif args.suite == "extension":
         scale = _resolve_scale(args.scale or "weighted")
         report = check_extension_conditions(

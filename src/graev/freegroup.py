@@ -158,9 +158,9 @@ def reduce_word(w: Word) -> ReducedWord:
     inverse pairs.  The result does not depend on the cancellation order."""
     stack: list[Letter] = []
     for x in w.letters:
-        if x.is_identity:
+        if not x.sign:
             continue
-        if stack and stack[-1] == x.inverse():
+        if stack and stack[-1].sign == -x.sign and stack[-1].point == x.point:
             stack.pop()
         else:
             stack.append(x)
@@ -169,15 +169,37 @@ def reduce_word(w: Word) -> ReducedWord:
     return Word(tuple(stack))
 
 
+def group_letters(w: ReducedWord) -> tuple[Letter, ...]:
+    """Letters of a reduced word as a group element: () for the identity."""
+    return () if w.letters[0].is_identity else w.letters
+
+
+def inverse_letters(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    return tuple(x.inverse() for x in reversed(letters))
+
+
+def seam_product(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """Product of two group_letters tuples: as both are reduced, only the
+    letters meeting at the seam can cancel."""
+    k, m = 0, min(len(a), len(b))
+    while k < m and a[-1 - k].sign == -b[k].sign and a[-1 - k].point == b[k].point:
+        k += 1
+    return a[: len(a) - k] + b[k:]
+
+
+def from_group_letters(letters: tuple[Letter, ...]) -> ReducedWord:
+    return Word(letters) if letters else IDENTITY_WORD
+
+
 def multiply(u: Word, v: Word) -> ReducedWord:
-    """Group multiplication: concatenate, then reduce.  Inputs are normalized."""
-    return reduce_word(Word(reduce_word(u).letters + reduce_word(v).letters))
+    """Group multiplication: reduce each input, then cancel at the seam."""
+    ru, rv = group_letters(reduce_word(u)), group_letters(reduce_word(v))
+    return from_group_letters(seam_product(ru, rv))
 
 
 def invert(u: Word) -> ReducedWord:
     """Group inverse: reverse the reduced word and invert each letter."""
-    ru = reduce_word(u)
-    return Word(tuple(x.inverse() for x in reversed(ru.letters)))
+    return Word(inverse_letters(reduce_word(u).letters))
 
 
 def conjugate(g: Word, u: Word) -> ReducedWord:
@@ -205,7 +227,7 @@ class WordSyntaxError(ValueError):
 
 def _parse_nat(text: str, i: int) -> tuple[int, int]:
     start = i
-    while i < len(text) and text[i].isdigit():
+    while i < len(text) and text[i].isdecimal():  # int() rejects other digits, e.g. '²'
         i += 1
     if i == start:
         found = text[start] if start < len(text) else "end of input"

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .freegroup import Rat, format_rat
+
+_RELATIONS = {
+    "==": operator.eq,
+    "<=": operator.le,
+    ">=": operator.ge,
+    "<": operator.lt,
+    ">": operator.gt,
+}
 
 
 @dataclass(frozen=True)
@@ -19,14 +28,7 @@ class CheckCase:
 
     @staticmethod
     def compare(inputs: dict[str, str], relation: str, lhs: Rat, rhs: Rat) -> "CheckCase":
-        ok = {
-            "==": lhs == rhs,
-            "<=": lhs <= rhs,
-            ">=": lhs >= rhs,
-            "<": lhs < rhs,
-            ">": lhs > rhs,
-        }[relation]
-        return CheckCase(inputs, relation, lhs, rhs, ok)
+        return CheckCase(inputs, relation, lhs, rhs, _RELATIONS[relation](lhs, rhs))
 
     def to_json(self) -> dict:
         return {

@@ -16,7 +16,7 @@ comes from a bounded search over spellings with cancelling pairs inserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError
 from .freegroup import (
@@ -62,11 +62,20 @@ def _default_coefficient(k: int) -> Rat:
     return Rat(1, 4 ** (k + 1))
 
 
-def weighted_scale(coefficients: Sequence[Rat] | None = None, name: str = "weighted") -> Scale:
+def weighted_scale(
+    coefficients: Sequence[Rat] | Mapping[int, Rat] | None = None, name: str = "weighted"
+) -> Scale:
     """Scale multiplying by 1 + sum_k x(k)*c_k; inverse-symmetric, regular
     and dominating for nonnegative coefficients (coordinates are naturals,
-    so the factor is then at least 1).  Default coefficients are 4^{-(k+1)}."""
-    coeffs = None if coefficients is None else tuple(Rat(c) for c in coefficients)
+    so the factor is then at least 1).  Coefficients are a sequence c_0,
+    c_1, ... or a sparse map k -> c_k (unlisted k get 0).  Default
+    coefficients are 4^{-(k+1)}."""
+    coeffs: dict[int, Rat] | None = None
+    if coefficients is not None:
+        items = (
+            coefficients.items() if isinstance(coefficients, Mapping) else enumerate(coefficients)
+        )
+        coeffs = {k: Rat(c) for k, c in items}
     weights: dict[Point, Rat] = {}
 
     def weight(p: Point) -> Rat:
@@ -76,7 +85,7 @@ def weighted_scale(coefficients: Sequence[Rat] | None = None, name: str = "weigh
             for k, c in enumerate(p.coords):
                 if coeffs is None:
                     w += c * _default_coefficient(k)
-                elif k < len(coeffs):
+                elif k in coeffs:
                     w += c * coeffs[k]
             weights[p] = w
         return w
@@ -86,7 +95,7 @@ def weighted_scale(coefficients: Sequence[Rat] | None = None, name: str = "weigh
             return r
         return r * weight(x.point)
 
-    dominating = coeffs is None or all(c >= 0 for c in coeffs)
+    dominating = coeffs is None or all(c >= 0 for c in coeffs.values())
     return Scale(name, evaluate, declared_regular=True, declared_dominating=dominating)
 
 
@@ -94,7 +103,9 @@ def load_scale_file(path: str) -> Scale:
     """Read weighted-family coefficients from a key-value text file.
 
     Lines are "<coordinate index> = <rational>", "#" starts a comment,
-    blank lines are skipped.  Unlisted coordinates get coefficient 0.
+    blank lines are skipped.  Unlisted coordinates get coefficient 0; the
+    coefficients are kept sparse, so the cost follows the number of lines,
+    not the largest index.
     The file is not vetted here; run the axiom checker to certify it.
     """
     entries: dict[int, Rat] = {}
@@ -116,9 +127,7 @@ def load_scale_file(path: str) -> Scale:
             if index in entries:
                 raise ValueError(f"{path}:{lineno}: duplicate coordinate {index}")
             entries[index] = value
-    size = max(entries) + 1 if entries else 0
-    coeffs = tuple(entries.get(k, ZERO) for k in range(size))
-    return weighted_scale(coeffs, name=f"file:{path}")
+    return weighted_scale(entries, name=f"file:{path}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +135,7 @@ def load_scale_file(path: str) -> Scale:
 
 
 def norm_theta(w: Word, theta: Match, scale: Scale) -> Rat:
-    """Recursive cost of w under match theta.
+    """Cost of w under match theta, defined recursively.
 
     Single letters cost d(e, x).  If 0 is matched inside a proper prefix,
     the word splits there and the costs add.  If 0 is matched to the last
@@ -140,27 +149,22 @@ def norm_theta(w: Word, theta: Match, scale: Scale) -> Rat:
         )
     if not is_match(theta.map):
         raise ValueError(f"not a match: {theta.map}")
-    return _norm_theta(w.letters, theta.map, scale)
-
-
-def _norm_theta(letters: tuple[Letter, ...], tmap: tuple[int, ...], scale: Scale) -> Rat:
-    last = len(letters) - 1
-    if last == 0:
-        return letter_distance(IDENTITY, letters[0])
-    k = tmap[0]
-    if k < last:
-        left = _norm_theta(letters[: k + 1], tmap[: k + 1], scale)
-        right = _norm_theta(
-            letters[k + 1 :], tuple(v - (k + 1) for v in tmap[k + 1 :]), scale
-        )
-        return left + right
-    x = letters[0].inverse()
-    y = letters[last]
-    if last == 1:
-        inner = ZERO
-    else:
-        inner = _norm_theta(letters[1:last], tuple(v - 1 for v in tmap[1:last]), scale)
-    return letter_distance(x, y) + max(scale(x, inner), scale(y, inner))
+    # One right-to-left pass instead of the recursion: after[p] is the cost
+    # of the blocks from p to the end of the enclosing pair (or word), each
+    # a fixed point or a pair (p, q) opening at p, so after[p] adds after[q
+    # + 1].  A closing index, and n, end a run at cost 0, so after[p + 1]
+    # is the inner value of the pair (p, q).
+    letters, tmap, n = w.letters, theta.map, len(w)
+    after = [ZERO] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        q = tmap[p]
+        if q == p:
+            after[p] = letter_distance(IDENTITY, letters[p]) + after[p + 1]
+        elif q > p:
+            x, y, inner = letters[p].inverse(), letters[q], after[p + 1]
+            block = letter_distance(x, y) + max(scale(x, inner), scale(y, inner))
+            after[p] = block + after[q + 1]
+    return after[0]
 
 
 def norm_theta_min(w: Word, scale: Scale) -> NormResult:

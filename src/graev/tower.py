@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .freegroup import (
+    IDENTITY_WORD,
     Letter,
     Point,
     Rat,
@@ -23,7 +24,7 @@ from .freegroup import (
     letter_distance,
     reduce_word,
 )
-from .graevmetric import graev_bidistance
+from .graevmetric import graev_norm_dp
 from .matching import Match
 from .reports import CheckCase, VerificationReport
 from .scales import Scale, norm_theta
@@ -79,17 +80,90 @@ def check_lipschitz_witness(w_star: Word, theta: Match, scale: Scale, n: Level) 
     )
 
 
+class _ProductNorms:
+    """Two-sided distances for the word pairs of one suite call, each
+    distinct product u^{-1}v or uv^{-1} normed once.  Letters are numbered
+    as they come, a letter 2k and its inverse 2k + 1, so words are int
+    tuples and inverting a letter flips the low bit."""
+
+    def __init__(self) -> None:
+        self.ids: dict[Letter, int] = {}
+        self.letters: list[Letter] = []
+        self.norms: dict[tuple[int, ...], Rat] = {}
+
+    def sides(self, w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The reduced w and its inverse, numbered."""
+        numbers = []
+        for x in reduce_word(w).letters:
+            if x.is_identity:
+                continue
+            i = self.ids.get(x)
+            if i is None:
+                y = x.inverse()
+                i = self.ids[x] = len(self.letters)
+                self.ids[y] = i + 1
+                self.letters += (x, y)
+            numbers.append(i)
+        return tuple(numbers), tuple(i ^ 1 for i in reversed(numbers))
+
+    def bidistance(self, u: tuple, v: tuple) -> Rat:
+        """graev_bidistance of the words with these sides."""
+        return self._norm(u[1], v[0]) + self._norm(u[0], v[1])
+
+    def _norm(self, a: tuple[int, ...], b: tuple[int, ...]) -> Rat:
+        # both are reduced, so only letters meeting at the seam cancel
+        k, m = 0, min(len(a), len(b))
+        while k < m and a[-1 - k] ^ 1 == b[k]:
+            k += 1
+        key = a[: len(a) - k] + b[k:]
+        value = self.norms.get(key)
+        if value is None:
+            product = Word(tuple(self.letters[i] for i in key)) if key else IDENTITY_WORD
+            value = self.norms[key] = graev_norm_dp(product)
+        return value
+
+
+def _lipschitz_word(w: Word, n: Level, norms: _ProductNorms) -> tuple:
+    # what a Lipschitz case needs of one word: its text and the sides of the
+    # word and of its projection
+    return format_word(w), norms.sides(w), norms.sides(project_word(w, n))
+
+
+def _lipschitz_case(u: tuple, v: tuple, n: Level, norms: _ProductNorms) -> CheckCase:
+    (u_text, u_sides, u_projected), (v_text, v_sides, v_projected) = u, v
+    lhs = norms.bidistance(u_projected, v_projected)
+    rhs = norms.bidistance(u_sides, v_sides)
+    return CheckCase.compare({"u": u_text, "v": v_text, "level": str(n)}, "<=", lhs, rhs)
+
+
 def check_lipschitz_distance(u: ReducedWord, v: ReducedWord, n: Level) -> CheckCase:
     """Projection is nonexpansive for the exact two-sided metric."""
     _check_level(n)
-    lhs = graev_bidistance(project_word(u, n), project_word(v, n))
-    rhs = graev_bidistance(u, v)
-    return CheckCase.compare(
-        {"u": format_word(u), "v": format_word(v), "level": str(n)},
-        "<=",
-        lhs,
-        rhs,
+    norms = _ProductNorms()
+    return _lipschitz_case(_lipschitz_word(u, n, norms), _lipschitz_word(v, n, norms), n, norms)
+
+
+def check_lipschitz(n: Level, pairs: Iterable[tuple[Word, Word]]) -> VerificationReport:
+    """check_lipschitz_distance for every pair, in order, as one report.
+    Each word is prepared once and each distinct product's norm is
+    computed once per call."""
+    _check_level(n)
+    pairs = list(pairs)
+    report = VerificationReport(
+        suite="lipschitz", parameters={"level": str(n), "pairs": str(len(pairs))}
     )
+    prepared: dict[int, tuple] = {}  # keyed by id(): pairs keeps every word alive
+    norms = _ProductNorms()
+
+    def prepare(w: Word) -> tuple:
+        entry = prepared.get(id(w))
+        if entry is None:
+            entry = prepared[id(w)] = _lipschitz_word(w, n, norms)
+        return entry
+
+    for u, v in pairs:
+        report.add(_lipschitz_case(prepare(u), prepare(v), n, norms))
+    return report
 
 
 def check_extension_conditions(
@@ -191,7 +265,8 @@ def check_discreteness(n: Level, corpus: Iterable[ReducedWord]) -> VerificationR
         if rw.letters not in seen:
             seen.add(rw.letters)
             words.append(rw)
-    words.sort(key=lambda w: (len(w), format_word(w)))
+    norms = _ProductNorms()
+    rows = sorted((len(w), format_word(w), norms.sides(w)) for w in words)
     bound = Rat(1, 2**n)
     report = VerificationReport(
         suite="discreteness",
@@ -199,17 +274,13 @@ def check_discreteness(n: Level, corpus: Iterable[ReducedWord]) -> VerificationR
     )
     min_seen: Rat | None = None
     min_pair = ("", "")
-    for i, u in enumerate(words):
-        for v in words[i + 1 :]:
-            d = graev_bidistance(u, v)
-            report.add(
-                CheckCase.compare(
-                    {"u": format_word(u), "v": format_word(v)}, ">=", d, bound
-                )
-            )
+    for i, (_, u_text, u_sides) in enumerate(rows):
+        for _, v_text, v_sides in rows[i + 1 :]:
+            d = norms.bidistance(u_sides, v_sides)
+            report.add(CheckCase.compare({"u": u_text, "v": v_text}, ">=", d, bound))
             if min_seen is None or d < min_seen:
                 min_seen = d
-                min_pair = (format_word(u), format_word(v))
+                min_pair = (u_text, v_text)
     if min_seen is not None:
         report.parameters["min-observed"] = format_rat(min_seen)
         report.parameters["attaining-pair"] = f"{min_pair[0]} | {min_pair[1]}"

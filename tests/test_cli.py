@@ -1,10 +1,14 @@
+import contextlib
+import hashlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graev.cli import CorpusSyntaxError, main, parse_corpus
-from graev.freegroup import format_word
+from graev.freegroup import format_word, is_reduced
 
 
 def run(capsys, *argv):
@@ -160,6 +164,13 @@ def test_parse_corpus_error_names_line_and_column():
     assert "line 2" in str(exc.value)
 
 
+def test_parse_corpus_rejects_non_decimal_digits():
+    # '²' is a digit to str.isdigit but not to int()
+    with pytest.raises(CorpusSyntaxError) as exc:
+        parse_corpus(io.StringIO("[1]\n[²]\n"))
+    assert (exc.value.line, exc.value.column) == (2, 2)
+
+
 def test_verify_with_corpus_file(capsys, tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("[1]\n[2]\n[1] [2]\ne\n")
@@ -178,6 +189,15 @@ def test_verify_corpus_too_deep_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "depth" in err
+
+
+def test_verify_negative_level_exits_2_without_pairs(capsys, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("[1]\n")
+    for suite in ("discreteness", "lipschitz"):
+        code, _, err = run(capsys, "verify", "--suite", suite, "--level", "-1", "--corpus", str(path))
+        assert code == 2
+        assert "level" in err
 
 
 # --- verification suites ----------------------------------------------------------------
@@ -249,3 +269,131 @@ def test_verify_unknown_scale_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--suite", "extension", "--scale", "mystery")
     assert code == 2
     assert "mystery" in err
+
+
+# --- byte-identity of the tower suites ----------------------------------------------
+
+# sha256 of stdout, recorded before the suites shared per-call norm memos;
+# any change in a computed value, case order or rendering changes a digest.
+_SUITE_CORPUS = (
+    "# the identity, unreduced lines and duplicates after reduction\n"
+    "e\n[1] [1]^-1\n[1] [2]\ne [1]\n[1,2]^-1 [0,1] e\n"
+    "[2] [2]^-1 [1,1]\n[1] [2] [2]^-1  # reduces to [1]\n[0,2]\n[1,1]^-1 [2]^-1\n"
+)
+_SUITE_DIGESTS = {
+    "discreteness --level 0": "c69c665e07d7ad60c3d54f837e6ee047e3597d6fbc3f015fe4b8117a19336f21",
+    "discreteness --level 0 --json": "b6bf10eba999e7ac75dc2eb95346e33a40c1e1fd261134f023eaf363cf7ac518",
+    "discreteness --level 1": "90f07daeb60f154cadc12189b8559f5b89dcb897800621727894bd8e88f15898",
+    "discreteness --level 1 --json": "ddf8b33f83e98a3927ed7766035569fb7dbd934262951bb1db6ceb3cfd142a64",
+    "discreteness --level 2": "2f69163d882c43615e3aa07758fe09b380ba46508d8078fe70d7a17d6cbd94f7",
+    "discreteness --level 2 --json": "850e3a15841a9302b15b3f4676a78ab844e4d8ee195d44dfe57b0a0dbf63778e",
+    "discreteness --level 3": "401111e7b056fb368e94bd49c0678b7bbe1e7db023c0a5e8615da1d44de44d98",
+    "discreteness --level 3 --json": "1a8b0d1541d4efae63b5721be083fa28e996380a9bd3f2662e620f8aa69faa16",
+    "lipschitz --level 0": "667b217e38a8ba10c711b32ab6dea7b4f67e145e10ad697e76013437f85453f8",
+    "lipschitz --level 0 --json": "410d405d7760b2b904224bc0aafa83f7ed811a24dda2af64f1846d8620788a6e",
+    "lipschitz --level 1": "faee5512cdc4488c0b78bf40f1ca7f4865fae9f19cb77781f5fd060ae97d63f1",
+    "lipschitz --level 1 --json": "5fb334ef60ac4df693abde29408aa19a59a04312b201ab3567c546a0d8bea0a1",
+    "lipschitz --level 2": "c711d74ad1d92e796e4827a4b98910db1e98379dd3bce08f45e8befca24924cb",
+    "lipschitz --level 2 --json": "90440689a64ebd591f2a005eb3284bec4a06cc9f3a95801663b198de4fc344b3",
+    "lipschitz --level 3": "a43dd764a08aef8a27b4a48c8cee48216ea543c8b9e30ed7e9e858b34e97f05e",
+    "lipschitz --level 3 --json": "e4815a282326e13a49b1f33976b50d6ace518534c0576bcd1fad119b877d648e",
+    "discreteness --level 2 --cases 25 --seed 9": "c8d2cf2c9da313b44272d94e98467a30ae416d7a149acf0735646e0058afb55c",
+    "discreteness --level 2 --cases 25 --seed 9 --json": "a2584e3a773826f5d9417e396a90ada07febd01d0f4ac5380f1c885cc7ab03ce",
+    "lipschitz --level 1 --cases 20 --seed 4": "1036454b40be355a20082d6662c18889bd94687656aff5413b10f4159962ede4",
+    "lipschitz --level 1 --cases 20 --seed 4 --json": "3d822d450a3bed650fe6445d18d583ea466e057b0fe9d9f1d73ecbb3c609da64",
+    "discreteness --level 2 --corpus corpus.txt": "7e25a808a2529f4c886c14e4d95d4f8b9a2d0a9ef23561f088221cd3715d4acb",
+    "discreteness --level 2 --corpus corpus.txt --json": "f6b10a0271a5ecfa84a71b92559d2653d4aec70d5fbb6ce8c6c8e5c717b0affc",
+    "lipschitz --level 1 --corpus corpus.txt": "4824ffc29f3097365c32513212d0ce31b6794190de7bba0be81f6eaeae6c7670",
+    "lipschitz --level 1 --corpus corpus.txt --json": "58abc561e0602fb1ed6a0ec4179385a0fd81a913b023a2f9919b373ff67c9b88",
+}
+
+
+def test_verify_suites_byte_identical_digests(capsys, tmp_path, monkeypatch):
+    # the discreteness report prints the corpus path, so it is given relative
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.txt").write_text(_SUITE_CORPUS)
+    for shown, digest in _SUITE_DIGESTS.items():
+        suite, *rest = shown.split()
+        code, out, _ = run(capsys, "verify", "--suite", suite, *rest)
+        assert code == 0, shown
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, shown
+
+
+# --- fuzz over the grammar, the subcommands and small flags --------------------------
+
+_points = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+    lambda cs: "[" + ",".join(map(str, cs)) + "]"
+)
+_terms = st.one_of(st.just("e"), st.tuples(_points, st.sampled_from(["", "^-1"])).map("".join))
+_words = st.lists(_terms, min_size=1, max_size=4).map(" ".join)
+# mostly grammatical text, plus short strings the grammar rejects
+_texts = st.one_of(_words, _words, st.text(alphabet="[]0123,^-1e x\t#²", max_size=10))
+_scale_lines = st.tuples(
+    st.sampled_from(["0", "1", "2", str(10**12), "-1", "x"]),
+    st.sampled_from(["1/4", "-1/2", "0", "1/0", "y"]),
+).map(" = ".join)
+
+
+_COMMANDS = ["norm", "dist", "matches", "project", "seplevel"] + [
+    f"verify {suite}" for suite in ("discreteness", "lipschitz", "extension", "scale-axioms")
+]
+
+
+@st.composite
+def _cli_call(draw, command: str):
+    def flag(name: str) -> list[str]:
+        return [name] if draw(st.booleans()) else []
+
+    small = st.integers(-1, 3)
+    scale = draw(st.sampled_from([[], ["--scale", "trivial"], ["--scale", "weighted"],
+                                  ["--scale", "file:@scale.txt"], ["--scale", "mystery"]]))
+    if command == "norm":
+        # budgets stay <= 1: a budget-2 search under the weighted scale may
+        # evaluate thousands of spellings
+        budget = ["--budget", str(draw(st.integers(-1, 1)))] if scale else flag("--bruteforce")
+        argv = ["norm", draw(_texts), *scale, *budget, *flag("--witness"), *flag("--json")]
+    elif command in ("dist", "seplevel"):
+        argv = [command, draw(_texts), draw(_texts), *(flag("--json") if command == "dist" else [])]
+    elif command == "matches":
+        count_only = flag("--count-only")
+        lengths = [-1, 0, 1, 3, 6, 15, 40] if count_only else [-1, 0, 1, 3, 6, 15]
+        argv = ["matches", "--len", str(draw(st.sampled_from(lengths))), *count_only]
+    elif command == "project":
+        argv = ["project", "-n", str(draw(small)), draw(_texts)]
+    else:
+        suite = command.split()[1]
+        argv = ["verify", "--suite", suite, "--level", str(draw(small)), *scale, *flag("--json")]
+        source = draw(st.sampled_from(["default", "cases", "corpus"]))
+        if source == "cases":
+            argv += ["--cases", str(draw(st.integers(-1, 8))), "--seed", str(draw(small)),
+                     "--max-len", str(draw(small))]
+        elif source == "corpus":
+            argv += ["--corpus", "@corpus.txt"]
+    corpus = draw(st.lists(_texts, max_size=5))
+    scale_file = draw(st.lists(_scale_lines, max_size=3))
+    return argv, "\n".join(corpus), "\n".join(scale_file)
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_main_fuzz_ends_with_an_exit_code(tmp_path_factory, command, data):
+    argv, corpus, scale_file = data.draw(_cli_call(command))
+    where = tmp_path_factory.getbasetemp() / "fuzz"
+    where.mkdir(exist_ok=True)
+    (where / "corpus.txt").write_text(corpus)
+    (where / "scale.txt").write_text(scale_file)
+    argv = [a.replace("@", f"{where}/") for a in argv]  # no drawn text holds "@"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2, 3), argv
+
+
+@given(st.lists(st.one_of(_texts, _texts.map(lambda t: t + "  # comment"))))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_parse_corpus_fuzz(lines):
+    try:
+        words = parse_corpus(io.StringIO("\n".join(lines)))
+    except CorpusSyntaxError as exc:
+        assert exc.line >= 1 and exc.column >= 1
+    else:
+        assert all(is_reduced(w) for w in words)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -136,6 +137,22 @@ def test_norm_theta_monotone_in_scale():
 
 
 # --- norm_theta_min --------------------------------------------------------------
+
+
+def test_norm_theta_deep_nesting_is_iterative():
+    # 3,000 nested pairs: x_0 ... x_{m-1} y_{m-1} ... y_0 with x_i paired to
+    # y_i, folded from the innermost pair outwards
+    m = 3000
+    xs = [pos(1, i % 5) for i in range(m)]
+    ys = [neg(1, (i + 1) % 5) for i in range(m)]
+    w = Word(tuple(xs + ys[::-1]))
+    theta = Match(tuple(2 * m - 1 - i for i in range(2 * m)))
+    assert norm_theta(w, theta, TRIVIAL_SCALE) == F(m, 2)
+    expected = F(0)
+    for x, y in zip(reversed(xs), reversed(ys)):
+        x = x.inverse()
+        expected = F(1, 2) + max(WEIGHTED(x, expected), WEIGHTED(y, expected))
+    assert norm_theta(w, theta, WEIGHTED) == expected
 
 
 def test_norm_theta_min_matches_enumeration():
@@ -395,6 +412,23 @@ def test_load_scale_file(tmp_path):
     assert scale(pos(0, 1), F(1)) == 1  # unlisted coordinate gets 0
     report = check_scale_axioms(scale, PROBE_LETTERS, R_GRID, EPS_TAIL)
     assert report.all_passed
+
+
+def test_load_scale_file_is_sparse(tmp_path):
+    # the coefficients are kept by index, so a huge index costs one entry
+    base = "0 = 1/4\n2 = 3/8\n"
+    path, far = tmp_path / "near.scale", tmp_path / "far.scale"
+    path.write_text(base)
+    far.write_text(base + f"{10**12} = 5/2\n")
+    started = time.perf_counter()
+    sparse = load_scale_file(str(far))
+    assert time.perf_counter() - started < 1.0
+    dense = load_scale_file(str(path))
+    assert sparse.declared_dominating
+    letters = [Letter(s, p) for p in DEEP_POINTS for s in (1, -1)] + [IDENTITY, pos(3, 0, 7)]
+    for x in letters:
+        for r in R_GRID:
+            assert sparse(x, r) == dense(x, r)
 
 
 def test_load_scale_file_errors(tmp_path):

@@ -10,17 +10,22 @@ from graev.freegroup import (
     Letter,
     Point,
     Word,
+    format_rat,
+    format_word,
     multiply,
     neg,
     pos,
+    reduce_word,
     word,
 )
 from graev.graevmetric import graev_bidistance
+from graev.reports import CheckCase, VerificationReport
 from graev.sampling import exhaustive_reduced_words, sample_match, sample_reduced_word
 from graev.scales import TRIVIAL_SCALE, weighted_scale
 from graev.tower import (
     check_discreteness,
     check_extension_conditions,
+    check_lipschitz,
     check_lipschitz_distance,
     check_lipschitz_witness,
     project_letter,
@@ -191,6 +196,66 @@ def test_discreteness_level1_exhaustive():
     assert report.parameters["bound"] == "1/2"
     assert "attaining-pair" in report.parameters
     assert F(report.parameters["min-observed"]) >= F(1, 2)
+
+
+def _discreteness_by_pairs(n, corpus):
+    # the suite as a plain loop over the public graev_bidistance
+    words = []
+    for w in corpus:
+        rw = reduce_word(w)
+        if rw not in words:
+            words.append(rw)
+    words.sort(key=lambda w: (len(w), format_word(w)))
+    bound = F(1, 2**n)
+    report = VerificationReport(
+        suite="discreteness",
+        parameters={"level": str(n), "bound": format_rat(bound), "words": str(len(words))},
+    )
+    distances = []
+    for i, u in enumerate(words):
+        for v in words[i + 1 :]:
+            d, fu, fv = graev_bidistance(u, v), format_word(u), format_word(v)
+            report.add(CheckCase.compare({"u": fu, "v": fv}, ">=", d, bound))
+            distances.append((d, fu, fv))
+    if distances:
+        d, fu, fv = min(distances, key=lambda t: t[0])  # the first minimum
+        report.parameters["min-observed"] = format_rat(d)
+        report.parameters["attaining-pair"] = f"{fu} | {fv}"
+    return report
+
+
+def _lipschitz_by_pairs(n, pairs):
+    report = VerificationReport(
+        suite="lipschitz", parameters={"level": str(n), "pairs": str(len(pairs))}
+    )
+    for u, v in pairs:
+        lhs = graev_bidistance(project_word(u, n), project_word(v, n))
+        rhs = graev_bidistance(u, v)
+        inputs = {"u": format_word(u), "v": format_word(v), "level": str(n)}
+        report.add(CheckCase.compare(inputs, "<=", lhs, rhs))
+    return report
+
+
+def test_memoised_suites_equal_pair_by_pair_reports():
+    rng = random.Random(41)
+    for n in range(4):
+        points = [Point(()), Point((1,)), Point((0,) * max(n - 1, 0) + (2,))][: 1 + min(n, 2)]
+        corpus = exhaustive_reduced_words(points, 2)
+        # unreduced spellings and repeats of words already in the corpus
+        corpus += [random_raw_word(rng, rng.randint(1, 4)) for _ in range(12)]
+        corpus = [w for w in corpus if reduce_word(w).max_depth <= n]
+        assert (
+            check_discreteness(n, corpus).to_json()
+            == _discreteness_by_pairs(n, corpus).to_json()
+        )
+        words = exhaustive_reduced_words(TOWER_POINTS, 2)[:20]
+        words += [random_raw_word(rng, rng.randint(1, 5)) for _ in range(10)]
+        pairs = [(u, v) for i, u in enumerate(words) for v in words[i + 1 :]]
+        pairs += [(u, Word(u.letters)) for u in words[:5]]  # equal words, distinct objects
+        rng.shuffle(pairs)
+        assert check_lipschitz(n, pairs).to_json() == _lipschitz_by_pairs(n, pairs).to_json()
+        for u, v in pairs[:40]:
+            assert check_lipschitz_distance(u, v, n) == _lipschitz_by_pairs(n, [(u, v)]).cases[0]
 
 
 def test_discreteness_rejects_deep_corpus():
