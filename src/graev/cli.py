@@ -2,7 +2,8 @@
 truncation, separating levels, and the verification suites.
 
 Exit codes: 0 success (and all verification cases passed), 1 at least one
-verification case failed, 2 usage or parse errors, 3 resource-limit errors.
+verification case failed, 2 usage or parse errors, 3 resource-limit errors,
+4 an internal invariant violation (a bug, never a property of the input).
 All numeric output is exact "p/q".
 """
 
@@ -232,14 +233,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report.parameters["source"] = args.corpus or ("random" if args.cases else "exhaustive")
     elif args.suite == "lipschitz":
         points = _default_points(args.level + 1)
-        if args.corpus is not None:
-            corpus = parse_corpus(args.corpus)
-            pairs = [(u, v) for i, u in enumerate(corpus) for v in corpus[i + 1 :]]
-        elif args.cases:
+        if args.corpus is None and args.cases:
             rng = random.Random(args.seed)
             pairs = sample_distinct_pairs(rng, points, args.cases, args.max_len)
         else:
-            corpus = exhaustive_reduced_words(points, 2)
+            corpus = _load_or_default_corpus(args, points)
             pairs = [(u, v) for i, u in enumerate(corpus) for v in corpus[i + 1 :]]
         report = check_lipschitz(args.level, pairs)
     elif args.suite == "extension":
@@ -335,6 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (AssertionError, RuntimeError) as exc:  # ResourceLimitError is caught above
+        message = str(exc).removeprefix("internal invariant violation: ") or type(exc).__name__
+        print(f"error: internal invariant violation: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -169,42 +169,14 @@ def reduce_word(w: Word) -> ReducedWord:
     return Word(tuple(stack))
 
 
-def group_letters(w: ReducedWord) -> tuple[Letter, ...]:
-    """Letters of a reduced word as a group element: () for the identity."""
-    return () if w.letters[0].is_identity else w.letters
-
-
-def inverse_letters(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    return tuple(x.inverse() for x in reversed(letters))
-
-
-def seam_product(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    """Product of two group_letters tuples: as both are reduced, only the
-    letters meeting at the seam can cancel."""
-    k, m = 0, min(len(a), len(b))
-    while k < m and a[-1 - k].sign == -b[k].sign and a[-1 - k].point == b[k].point:
-        k += 1
-    return a[: len(a) - k] + b[k:]
-
-
-def from_group_letters(letters: tuple[Letter, ...]) -> ReducedWord:
-    return Word(letters) if letters else IDENTITY_WORD
-
-
 def multiply(u: Word, v: Word) -> ReducedWord:
-    """Group multiplication: reduce each input, then cancel at the seam."""
-    ru, rv = group_letters(reduce_word(u)), group_letters(reduce_word(v))
-    return from_group_letters(seam_product(ru, rv))
+    """Group multiplication: reduce the concatenation."""
+    return reduce_word(Word(u.letters + v.letters))
 
 
 def invert(u: Word) -> ReducedWord:
     """Group inverse: reverse the reduced word and invert each letter."""
-    return Word(inverse_letters(reduce_word(u).letters))
-
-
-def conjugate(g: Word, u: Word) -> ReducedWord:
-    """g^{-1} u g."""
-    return multiply(multiply(invert(g), u), g)
+    return Word(tuple(x.inverse() for x in reversed(reduce_word(u).letters)))
 
 
 # ---------------------------------------------------------------------------

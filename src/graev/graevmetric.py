@@ -17,17 +17,14 @@ from operator import add
 from .errors import ResourceLimitError
 from .freegroup import (
     IDENTITY,
-    Letter,
     Rat,
     ReducedWord,
     Word,
     first_difference,
-    from_group_letters,
-    group_letters,
-    inverse_letters,
+    invert,
     letter_distance,
+    multiply,
     reduce_word,
-    seam_product,
 )
 from .matching import Match, match_maps
 
@@ -140,17 +137,11 @@ def graev_norm_dp(w: Word) -> Rat:
     return trivial_norm_dp(reduce_word(w))[0]
 
 
-def _product_norm(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> Rat:
-    return trivial_norm_dp(from_group_letters(seam_product(a, b)))[0]
-
-
 def graev_distance(u: ReducedWord, v: ReducedWord) -> Rat:
     """Left-invariant metric extending the letter distance: norm of u^{-1}v."""
-    ru, rv = group_letters(reduce_word(u)), group_letters(reduce_word(v))
-    return _product_norm(inverse_letters(ru), rv)
+    return graev_norm_dp(multiply(invert(u), v))
 
 
 def graev_bidistance(u: ReducedWord, v: ReducedWord) -> Rat:
     """Two-sided metric: distance(u, v) + distance(u^{-1}, v^{-1})."""
-    ru, rv = group_letters(reduce_word(u)), group_letters(reduce_word(v))
-    return _product_norm(inverse_letters(ru), rv) + _product_norm(ru, inverse_letters(rv))
+    return graev_distance(u, v) + graev_distance(invert(u), invert(v))

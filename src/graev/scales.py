@@ -336,6 +336,7 @@ def conjugation_witness(v: Word, theta: Match, w: Letter, scale: Scale) -> Rat:
         raise ValueError(
             f"word length {len(v)} does not equal match domain size {len(theta)}"
         )
+    expected = scale(w, norm_theta(v, theta, scale))  # raises ValueError for a bad theta
     conj = Word((w.inverse(),) + v.letters + (w,))
     eta_map = (len(v) + 1,) + tuple(t + 1 for t in theta.map) + (0,)
     if not is_match(eta_map):
@@ -344,7 +345,6 @@ def conjugation_witness(v: Word, theta: Match, w: Letter, scale: Scale) -> Rat:
         )
     eta = Match(eta_map)
     lifted = norm_theta(conj, eta, scale)
-    expected = scale(w, norm_theta(v, theta, scale))
     if lifted != expected:
         raise RuntimeError(
             "internal invariant violation: lifted cost "

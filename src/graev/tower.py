@@ -123,24 +123,9 @@ class _ProductNorms:
         return value
 
 
-def _lipschitz_word(w: Word, n: Level, norms: _ProductNorms) -> tuple:
-    # what a Lipschitz case needs of one word: its text and the sides of the
-    # word and of its projection
-    return format_word(w), norms.sides(w), norms.sides(project_word(w, n))
-
-
-def _lipschitz_case(u: tuple, v: tuple, n: Level, norms: _ProductNorms) -> CheckCase:
-    (u_text, u_sides, u_projected), (v_text, v_sides, v_projected) = u, v
-    lhs = norms.bidistance(u_projected, v_projected)
-    rhs = norms.bidistance(u_sides, v_sides)
-    return CheckCase.compare({"u": u_text, "v": v_text, "level": str(n)}, "<=", lhs, rhs)
-
-
 def check_lipschitz_distance(u: ReducedWord, v: ReducedWord, n: Level) -> CheckCase:
     """Projection is nonexpansive for the exact two-sided metric."""
-    _check_level(n)
-    norms = _ProductNorms()
-    return _lipschitz_case(_lipschitz_word(u, n, norms), _lipschitz_word(v, n, norms), n, norms)
+    return check_lipschitz(n, [(u, v)]).cases[0]
 
 
 def check_lipschitz(n: Level, pairs: Iterable[tuple[Word, Word]]) -> VerificationReport:
@@ -154,15 +139,15 @@ def check_lipschitz(n: Level, pairs: Iterable[tuple[Word, Word]]) -> Verificatio
     )
     prepared: dict[int, tuple] = {}  # keyed by id(): pairs keeps every word alive
     norms = _ProductNorms()
-
-    def prepare(w: Word) -> tuple:
-        entry = prepared.get(id(w))
-        if entry is None:
-            entry = prepared[id(w)] = _lipschitz_word(w, n, norms)
-        return entry
-
     for u, v in pairs:
-        report.add(_lipschitz_case(prepare(u), prepare(v), n, norms))
+        for w in (u, v):
+            if id(w) not in prepared:  # its text, its sides, its projection's sides
+                prepared[id(w)] = format_word(w), norms.sides(w), norms.sides(project_word(w, n))
+        u_text, u_sides, u_projected = prepared[id(u)]
+        v_text, v_sides, v_projected = prepared[id(v)]
+        lhs = norms.bidistance(u_projected, v_projected)
+        rhs = norms.bidistance(u_sides, v_sides)
+        report.add(CheckCase.compare({"u": u_text, "v": v_text, "level": str(n)}, "<=", lhs, rhs))
     return report
 
 

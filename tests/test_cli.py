@@ -134,6 +134,24 @@ def test_enumeration_cap_exits_3(capsys, monkeypatch):
     assert (code, out) == (0, "4/1\n")
 
 
+@pytest.mark.parametrize(
+    "exc, shown",
+    [
+        (AssertionError("words did not separate"), "words did not separate"),
+        (AssertionError(), "AssertionError"),
+        (RuntimeError("internal invariant violation: lifted map"), "lifted map"),
+    ],
+)
+def test_invariant_violation_exits_4(capsys, monkeypatch, exc, shown):
+    def broken(u, v):
+        raise exc
+
+    monkeypatch.setattr("graev.cli.separating_level", broken)
+    code, out, err = run(capsys, "seplevel", "[1]", "[2]")
+    assert (code, out) == (4, "")
+    assert err == f"error: internal invariant violation: {shown}\n"
+
+
 def test_missing_corpus_file_exits_2(capsys):
     code, _, err = run(
         capsys, "verify", "--suite", "discreteness", "--corpus", "/nonexistent/c.txt"
@@ -317,6 +335,69 @@ def test_verify_suites_byte_identical_digests(capsys, tmp_path, monkeypatch):
         code, out, _ = run(capsys, "verify", "--suite", suite, *rest)
         assert code == 0, shown
         assert hashlib.sha256(out.encode()).hexdigest() == digest, shown
+
+
+# sha256 of `dist` stdout, plain and --json, recorded while `multiply` still
+# cancelled only at the seam of its reduced inputs: the identity, unreduced
+# input, words that cancel completely and points of depth >= 3.
+_DIST_DIGESTS = {
+    ("e", "e"): (
+        "d61e82b5761ad27edd18ae5d67d671c6c8a4139b2c0f9f2606503976dad442d9",
+        "ade59f039a22b887e735e6452ea5d6d9c8dded6beae4198c6ca45caf48623aa3",
+    ),
+    ("e", "[1,2,3]"): (
+        "ed4ea85aeb9badc7d78cf58c5d2aa6d3be45e4371821c1be46132bced0c315f3",
+        "3eeeb6c63857bd97f1a7864b6bfea2faabcba300c49341c0ac5b8454ac02a45c",
+    ),
+    ("[1] [1]^-1", "e"): (
+        "d61e82b5761ad27edd18ae5d67d671c6c8a4139b2c0f9f2606503976dad442d9",
+        "ade59f039a22b887e735e6452ea5d6d9c8dded6beae4198c6ca45caf48623aa3",
+    ),
+    ("[1] [2] [2]^-1 [1]^-1", "[0,0,1]"): (
+        "ed4ea85aeb9badc7d78cf58c5d2aa6d3be45e4371821c1be46132bced0c315f3",
+        "53f3012eb09dfbbd9500b15003ce152eda4849f3b3f2d08fbefb472435180646",
+    ),
+    ("[1,2,3] [4,5,6]^-1", "[1,2,3] [4,5,7]^-1"): (
+        "de7e55cd172f2065828bdd6c2015c5e92fdd6271ab1bd0f30a5e15104e64678d",
+        "9d9fa05b41949407c38461c6028de31923fb9d2aa2ad1d6cec11c0b98a36e7c6",
+    ),
+    ("[1,2,3,4] [0,0,1]", "[0,0,1]^-1 [1,2,3,4]^-1"): (
+        "5c19babf1d6ceac9bd0556e76613d48b89f454b6822f7db4dc0fe2e1cb632d1c",
+        "25d232a84133a2fb6ce9d2124a0c3aaef6b25582b324f9d6c4d4d2e70cf48341",
+    ),
+    ("e [1] e [2]^-1", "[2] [1]^-1"): (
+        "5c19babf1d6ceac9bd0556e76613d48b89f454b6822f7db4dc0fe2e1cb632d1c",
+        "d5cb0668e73c94b830089c8757f05ef0712f7fe4ea318ba508be76f5284260a5",
+    ),
+    ("[1,1,1] [2,2,2] [1,1,1]^-1", "[1,1,1] [2,2,3] [1,1,1]^-1"): (
+        "de7e55cd172f2065828bdd6c2015c5e92fdd6271ab1bd0f30a5e15104e64678d",
+        "7060245a65221dd6a8de2c1768822823a9a6ccbb928de403fc5aa2dc5d350e6e",
+    ),
+    ("[3]^-1 [3] [0,1,2]", "[0,1,2] [5]"): (
+        "ed4ea85aeb9badc7d78cf58c5d2aa6d3be45e4371821c1be46132bced0c315f3",
+        "fe195af4055fede72b902e888176d2120c4134f52a89ce11cd06b02c2a6064bd",
+    ),
+    ("[1,2] [1,3]^-1 [1,2]^-1", "[1,2] [1,3] [1,2]^-1 [1,2] [1,3]^-1"): (
+        "ed4ea85aeb9badc7d78cf58c5d2aa6d3be45e4371821c1be46132bced0c315f3",
+        "a2ba207f7091dbc4375bd4679de5d96b61c3350e657b2c440288660af83b022e",
+    ),
+    ("[1] [2] [3]", "[1] [2] [3]"): (
+        "d61e82b5761ad27edd18ae5d67d671c6c8a4139b2c0f9f2606503976dad442d9",
+        "f014e794a98d38f48ddcc7e4b8b5b66f4dc7305432d67747d0ffeaf11bb3fb22",
+    ),
+    ("[0,0,1] [0,0,2]^-1 [0,0,3]", "[0,0,3] [0,0,2]^-1 [0,0,1]"): (
+        "3117b181de4d46b7ff8adb4c78adec272c019160d4adf27a901e90ec114e1845",
+        "8815a7d552281fbad22ca1e4e77ee96c8032e9068869927ab6a10584784c2e7c",
+    ),
+}
+
+
+def test_dist_byte_identical_digests(capsys):
+    for (u, v), digests in _DIST_DIGESTS.items():
+        for extra, digest in zip(([], ["--json"]), digests):
+            code, out, _ = run(capsys, "dist", *extra, u, v)
+            assert code == 0, (u, v, extra)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (u, v, extra)
 
 
 # --- fuzz over the grammar, the subcommands and small flags --------------------------

@@ -1,4 +1,5 @@
-"""Every module and test imports only names it uses (standard-library AST scan)."""
+"""Standard-library AST scans: every module and test imports only names it
+uses, and every top-level function and class of the package is used."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,61 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# --- every top-level def and class of src/graev is referenced ------------------------
+
+DEFINERS = sorted(p for p in ROOT.glob("src/graev/*.py") if p.name != "__init__.py")
+REFERRERS = [*ROOT.glob("src/graev/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("graevbench/*.py")]
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names used, as attributes too, and identifiers spelled as string
+    constants ("multiply", "graev.cli.main"): the benchmark's tracer names
+    functions by string.  Imports alone are not uses."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def unreferenced_definitions(source: str, elsewhere: set[str]) -> list[str]:
+    """Top-level def and class names of source that neither another of its
+    top-level statements nor elsewhere references (recursion is no use)."""
+    body = ast.parse(source).body
+    refs = [referenced_names(stmt) for stmt in body]
+    return [
+        stmt.name
+        for i, stmt in enumerate(body)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name not in elsewhere
+        and not any(stmt.name in r for j, r in enumerate(refs) if j != i)
+    ]
+
+
+def test_scan_finds_an_unreferenced_definition():
+    source = (
+        "def used():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Named:\n    pass\n"
+        "def dead():\n    return Named\n"
+        "def by_string():\n    pass\n"
+        "TABLE = ('module', 'by_string')\n"
+    )
+    assert unreferenced_definitions(source, set()) == ["used", "recursive", "dead"]
+    assert unreferenced_definitions(source, {"used", "recursive", "dead"}) == []
+
+
+@pytest.mark.parametrize("path", DEFINERS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_definition_is_referenced(path):
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in REFERRERS if p != path]
+    elsewhere = set().union(*map(referenced_names, trees))
+    assert unreferenced_definitions(path.read_text(encoding="utf-8"), elsewhere) == []

@@ -400,6 +400,12 @@ def test_conjugation_witness_validates_length():
         conjugation_witness(word(pos(1), pos(2)), Match((0,)), pos(1), TRIVIAL_SCALE)
 
 
+def test_conjugation_witness_rejects_a_non_match_as_input():
+    # (0, 0) is not a match: the caller's input is at fault, not an invariant
+    with pytest.raises(ValueError, match="not a match"):
+        conjugation_witness(word(pos(1), pos(2)), Match((0, 0)), pos(1), TRIVIAL_SCALE)
+
+
 # --- scale files -----------------------------------------------------------------
 
 
