@@ -96,8 +96,7 @@ def _default_points(level: int) -> list[Point]:
     if level == 0:
         return [Point(())]
     points = [Point(()), Point((1,)), Point((0,) * (level - 1) + (2,))]
-    seen: set[Point] = set()
-    return [p for p in points if not (p in seen or seen.add(p))]
+    return list(dict.fromkeys(points))
 
 
 def _probe_letters() -> list[Letter]:
@@ -324,10 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (WordSyntaxError, CorpusSyntaxError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # WordSyntaxError and CorpusSyntaxError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterator
 
 Rat = Fraction
 
@@ -44,9 +43,6 @@ class Point:
         if n < 0:
             raise ValueError("truncation level must be >= 0")
         return Point(self.coords[:n])
-
-
-ZERO_POINT = Point(())
 
 
 @dataclass(frozen=True)
@@ -121,12 +117,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
-    def __getitem__(self, i: int) -> Letter:
-        return self.letters[i]
 
     @property
     def max_depth(self) -> int:

@@ -59,19 +59,20 @@ def match_from_choices(choice, n: int) -> Match:
 def is_match(candidate: Sequence[int]) -> bool:
     """True iff candidate is an involution with no crossing arcs.
 
-    The non-crossing test is the literal quantifier over quadruples;
-    out-of-range images make the candidate invalid rather than an error.
+    One left-to-right scan: each closer must be the partner on top of the
+    stack of open arcs, or a later arc crosses it.  Out-of-range images make
+    the candidate invalid rather than an error.
     """
     seq = tuple(candidate)
     n = len(seq)
-    if any(not 0 <= v < n for v in seq):
-        return False
-    if any(seq[seq[i]] != i for i in range(n)):
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j < seq[i] < seq[j]:
-                return False
+    closers: list[int] = []
+    for i, t in enumerate(seq):
+        if not 0 <= t < n or seq[t] != i:
+            return False
+        if t > i:
+            closers.append(t)
+        elif t < i and closers.pop() != i:
+            return False
     return True
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from .errors import ResourceLimitError
 from .freegroup import IDENTITY_WORD, Letter, Point, Word
+from .graevmetric import MATCH_CAP_ENV, enumeration_cap
 from .matching import Match, match_maps
 
 
@@ -62,7 +64,6 @@ def sample_corpus(
     points: Sequence[Point],
     count: int,
     max_len: int,
-    uniform_length: bool = False,
 ) -> list[Word]:
     """count distinct reduced words; raises if the space is too small."""
     out: list[Word] = []
@@ -75,7 +76,7 @@ def sample_corpus(
                 f"could not draw {count} distinct words of length <= {max_len} "
                 f"over {len(points)} points"
             )
-        w = sample_reduced_word(rng, points, max_len, uniform_length)
+        w = sample_reduced_word(rng, points, max_len)
         if w.letters not in seen:
             seen.add(w.letters)
             out.append(w)
@@ -98,7 +99,13 @@ def sample_distinct_pairs(
 
 
 def sample_match(rng: random.Random, length: int) -> Match:
-    """Uniform draw from all matches on {0,...,length-1}; intended for the
-    small interval sizes used by the verification suites."""
+    """Uniform draw from all matches on {0,...,length-1}, all materialized,
+    so lengths above the match enumeration cap are refused."""
+    cap = enumeration_cap()
+    if length > cap:
+        raise ResourceLimitError(
+            f"sampling a match of length {length} is above the match enumeration cap "
+            f"{cap}; set {MATCH_CAP_ENV} to raise it"
+        )
     maps = tuple(match_maps(length))
     return Match(rng.choice(maps))

@@ -16,6 +16,7 @@ comes from a bounded search over spellings with cancelling pairs inserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError
@@ -58,10 +59,6 @@ TRIVIAL_SCALE = Scale(
 )
 
 
-def _default_coefficient(k: int) -> Rat:
-    return Rat(1, 4 ** (k + 1))
-
-
 def weighted_scale(
     coefficients: Sequence[Rat] | Mapping[int, Rat] | None = None, name: str = "weighted"
 ) -> Scale:
@@ -70,24 +67,22 @@ def weighted_scale(
     so the factor is then at least 1).  Coefficients are a sequence c_0,
     c_1, ... or a sparse map k -> c_k (unlisted k get 0).  Default
     coefficients are 4^{-(k+1)}."""
-    coeffs: dict[int, Rat] | None = None
-    if coefficients is not None:
+    if coefficients is None:
+        coefficient = lambda k: Rat(1, 4 ** (k + 1))
+        dominating = True
+    else:
         items = (
             coefficients.items() if isinstance(coefficients, Mapping) else enumerate(coefficients)
         )
         coeffs = {k: Rat(c) for k, c in items}
+        coefficient = lambda k: coeffs.get(k, ZERO)
+        dominating = all(c >= 0 for c in coeffs.values())
     weights: dict[Point, Rat] = {}
 
     def weight(p: Point) -> Rat:
         w = weights.get(p)
         if w is None:
-            w = Rat(1)
-            for k, c in enumerate(p.coords):
-                if coeffs is None:
-                    w += c * _default_coefficient(k)
-                elif k in coeffs:
-                    w += c * coeffs[k]
-            weights[p] = w
+            w = weights[p] = Rat(1) + sum(c * coefficient(k) for k, c in enumerate(p.coords))
         return w
 
     def evaluate(x: Letter, r: Rat) -> Rat:
@@ -95,7 +90,6 @@ def weighted_scale(
             return r
         return r * weight(x.point)
 
-    dominating = coeffs is None or all(c >= 0 for c in coeffs.values())
     return Scale(name, evaluate, declared_regular=True, declared_dominating=dominating)
 
 
@@ -225,23 +219,12 @@ def insertion_alphabet(w: Word) -> tuple[Letter, ...]:
     their inverses, the identity, and coordinate truncations of all of
     those (truncated letters are the natural cheap witnesses under a
     regular scale)."""
-    out: list[Letter] = []
-    seen: set[Letter] = set()
-
-    def add(x: Letter) -> None:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-
-    for x in w.letters:
-        if not x.is_identity:
-            add(x)
-            add(x.inverse())
-    add(IDENTITY)
+    out = dict.fromkeys(y for x in w.letters if not x.is_identity for y in (x, x.inverse()))
+    out[IDENTITY] = None
     for m in range(w.max_depth):
         for x in list(out):
             if x.point is not None:
-                add(Letter(x.sign, x.point.truncate(m)))
+                out[Letter(x.sign, x.point.truncate(m))] = None
     return tuple(out)
 
 
@@ -276,8 +259,7 @@ def norm_bounds(
     index = {a: i for i, a in enumerate(alphabet)}
     pairs = [(i, index[a.inverse()]) for i, a in enumerate(alphabet)]
     start = tuple(index[x] for x in rw.letters)
-    seen: set[tuple[int, ...]] = {start}
-    order: list[tuple[int, ...]] = [start]
+    spellings = {start: None}  # insertion-ordered: the search order
     frontier: list[tuple[int, ...]] = [start]
     for _ in range(insertion_budget):
         grown: list[tuple[int, ...]] = []
@@ -286,20 +268,19 @@ def norm_bounds(
                 head, tail = base[:p], base[p:]
                 for pair in pairs:
                     cand = head + pair + tail
-                    if cand not in seen:
-                        if len(seen) >= cap:
+                    if cand not in spellings:
+                        if len(spellings) >= cap:
                             raise ResourceLimitError(
                                 f"insertion search exceeded the candidate cap {cap}; "
                                 "lower the budget or raise the cap"
                             )
-                        seen.add(cand)
+                        spellings[cand] = None
                         grown.append(cand)
-                        order.append(cand)
         frontier = grown
     best = norm_theta_min(rw, scale)
     best_word = rw
     lower = best.value if scale is TRIVIAL_SCALE else graev_norm_dp(rw)
-    for spelling in order[1:]:
+    for spelling in islice(spellings, 1, None):
         if scale.declared_dominating and best.value == lower:
             break
         cand_word = Word(tuple(alphabet[i] for i in spelling))
@@ -332,10 +313,6 @@ def conjugation_witness(v: Word, theta: Match, w: Letter, scale: Scale) -> Rat:
     the scale applied to the original cost.  Both sides are computed
     independently; a mismatch is an internal invariant violation.
     """
-    if len(v) != len(theta):
-        raise ValueError(
-            f"word length {len(v)} does not equal match domain size {len(theta)}"
-        )
     expected = scale(w, norm_theta(v, theta, scale))  # raises ValueError for a bad theta
     conj = Word((w.inverse(),) + v.letters + (w,))
     eta_map = (len(v) + 1,) + tuple(t + 1 for t in theta.map) + (0,)
@@ -357,19 +334,20 @@ def conjugation_witness(v: Word, theta: Match, w: Letter, scale: Scale) -> Rat:
 # ---------------------------------------------------------------------------
 # Axiom checker.
 
+_LIMIT_THRESHOLD = Rat(1, 4)
+
 
 def check_scale_axioms(
     scale: Scale,
     letters: Iterable[Letter],
     r_grid: Sequence[Rat],
     eps_tail: Sequence[Rat],
-    limit_threshold: Rat = Rat(1, 4),
 ) -> VerificationReport:
     """Sample the scale axioms on finite grids.
 
     Checks: the identity letter is fixed; values dominate the argument;
     zero exactly at zero; monotonicity along the grid; small arguments stay
-    below the threshold (consistency with a vanishing limit, not a proof);
+    below the threshold 1/4 (consistency with a vanishing limit, not a proof);
     inverse symmetry (a convention this package requires of scales); and,
     for scales declared regular, domination of every coordinate truncation.
     Violations become failing report cases, never exceptions.
@@ -386,7 +364,7 @@ def check_scale_axioms(
             "letters": str(len(letters)),
             "r-grid": " ".join(format_rat(r) for r in grid),
             "eps-tail": " ".join(format_rat(r) for r in tail),
-            "limit-threshold": format_rat(limit_threshold),
+            "limit-threshold": format_rat(_LIMIT_THRESHOLD),
             "declared-regular": str(scale.declared_regular).lower(),
         },
     )
@@ -448,7 +426,7 @@ def check_scale_axioms(
                     {"axiom": "vanishes-near-zero (consistency)", "x": fx, "r": format_rat(eps)},
                     "<=",
                     scale(x, eps),
-                    limit_threshold,
+                    _LIMIT_THRESHOLD,
                 )
             )
         for r in grid:

@@ -91,10 +91,10 @@ class _ProductNorms:
         self.letters: list[Letter] = []
         self.norms: dict[tuple[int, ...], Rat] = {}
 
-    def sides(self, w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The reduced w and its inverse, numbered."""
+    def sides(self, w: ReducedWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The reduced word w and its inverse, numbered."""
         numbers = []
-        for x in reduce_word(w).letters:
+        for x in w.letters:
             if x.is_identity:
                 continue
             i = self.ids.get(x)
@@ -142,7 +142,8 @@ def check_lipschitz(n: Level, pairs: Iterable[tuple[Word, Word]]) -> Verificatio
     for u, v in pairs:
         for w in (u, v):
             if id(w) not in prepared:  # its text, its sides, its projection's sides
-                prepared[id(w)] = format_word(w), norms.sides(w), norms.sides(project_word(w, n))
+                sides = norms.sides(reduce_word(w))
+                prepared[id(w)] = format_word(w), sides, norms.sides(project_word(w, n))
         u_text, u_sides, u_projected = prepared[id(u)]
         v_text, v_sides, v_projected = prepared[id(v)]
         lhs = norms.bidistance(u_projected, v_projected)
@@ -239,23 +240,22 @@ def check_discreteness(n: Level, corpus: Iterable[ReducedWord]) -> VerificationR
     least 2^{-n}; the minimum observed distance and an attaining pair are
     recorded in the report parameters."""
     _check_level(n)
-    words = []
-    seen: set[tuple] = set()
+    norms = _ProductNorms()
+    distinct: dict[tuple[int, ...], tuple] = {}  # keyed by the numbered word
     for w in corpus:
         rw = reduce_word(w)
         if rw.max_depth > n:
             raise ValueError(
                 f"corpus word {format_word(rw)} has depth {rw.max_depth} > level {n}"
             )
-        if rw.letters not in seen:
-            seen.add(rw.letters)
-            words.append(rw)
-    norms = _ProductNorms()
-    rows = sorted((len(w), format_word(w), norms.sides(w)) for w in words)
+        sides = norms.sides(rw)
+        if sides[0] not in distinct:
+            distinct[sides[0]] = len(rw), format_word(rw), sides
+    rows = sorted(distinct.values())
     bound = Rat(1, 2**n)
     report = VerificationReport(
         suite="discreteness",
-        parameters={"level": str(n), "bound": format_rat(bound), "words": str(len(words))},
+        parameters={"level": str(n), "bound": format_rat(bound), "words": str(len(rows))},
     )
     min_seen: Rat | None = None
     min_pair = ("", "")

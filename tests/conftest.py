@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import random
 from typing import Iterator
 
 import pytest
 
-from graev.freegroup import Point
+from graev.freegroup import IDENTITY, Letter, Point, Word
 
 # The standard 3-point test alphabet: the zero point and two depth-1 points.
 ALPHA3 = (Point(()), Point((1,)), Point((2,)))
@@ -18,6 +19,13 @@ DEEP_POINTS = (
     Point((0, 0, 1)),
     Point((1, 0, 2)),
 )
+
+
+def random_raw_word(rng: random.Random, length: int) -> Word:
+    """Arbitrary word over DEEP_POINTS, identity letters and adjacent
+    cancellations allowed."""
+    pool = [Letter(s, p) for p in DEEP_POINTS for s in (1, -1)] + [IDENTITY]
+    return Word(tuple(rng.choice(pool) for _ in range(length)))
 
 
 def involutions(n: int) -> Iterator[tuple[int, ...]]:

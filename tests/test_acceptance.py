@@ -20,7 +20,6 @@ from graev.freegroup import (
     IDENTITY_WORD,
     Letter,
     Point,
-    Word,
     invert,
     letter_distance,
     multiply,
@@ -56,7 +55,7 @@ from graev.tower import (
     separating_level,
 )
 
-from conftest import ALPHA3, DEEP_POINTS, involutions
+from conftest import ALPHA3, DEEP_POINTS, involutions, random_raw_word
 
 WEIGHTED = weighted_scale()
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798]
@@ -81,11 +80,6 @@ def criterion(capsys):
         announce(num, name, "PASS")
 
     return _criterion
-
-
-def raw_word(rng: random.Random, length: int) -> Word:
-    pool = [Letter(s, p) for p in DEEP_POINTS for s in (1, -1)] + [IDENTITY]
-    return Word(tuple(rng.choice(pool) for _ in range(length)))
 
 
 def test_criterion_01_match_counts(criterion):
@@ -192,10 +186,10 @@ def test_criterion_06_scale_norm_coherence(criterion):
             assert norm_theta_min(w, TRIVIAL_SCALE).value == graev_norm_dp(w)
         rng = random.Random(606)
         for _ in range(100):
-            w = raw_word(rng, rng.randint(1, 10))
+            w = random_raw_word(rng, rng.randint(1, 10))
             assert norm_theta_min(w, TRIVIAL_SCALE).value == graev_norm_dp(w)
         for _ in range(120):
-            w = raw_word(rng, rng.randint(1, 8))
+            w = random_raw_word(rng, rng.randint(1, 8))
             for scale in (TRIVIAL_SCALE, WEIGHTED):
                 res = norm_theta_min(w, scale)
                 explicit = min(
@@ -226,7 +220,7 @@ def test_criterion_08_conjugation_witness(criterion):
         rng = random.Random(808)
         pool = [Letter(s, p) for p in DEEP_POINTS for s in (1, -1)] + [IDENTITY]
         for _ in range(1000):
-            v = raw_word(rng, rng.randint(1, 6))
+            v = random_raw_word(rng, rng.randint(1, 6))
             theta = sample_match(rng, len(v))
             g = rng.choice(pool)
             eta = (len(v) + 1,) + tuple(t + 1 for t in theta.map) + (0,)
@@ -245,7 +239,7 @@ def test_criterion_09_lipschitz(criterion):
                 assert check_lipschitz_distance(u, v, level).passed
         rng = random.Random(909)
         for _ in range(1000):
-            w = raw_word(rng, rng.randint(1, 8))
+            w = random_raw_word(rng, rng.randint(1, 8))
             theta = sample_match(rng, len(w))
             level = rng.randint(0, 3)
             assert check_lipschitz_witness(w, theta, WEIGHTED, level).passed

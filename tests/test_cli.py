@@ -400,6 +400,89 @@ def test_dist_byte_identical_digests(capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (u, v, extra)
 
 
+# sha256 of the concatenated stdout of `norm --scale` over _SCALE_WORDS, and of
+# the scale suites, recorded before the scale and search bookkeeping was
+# simplified: the identity, unreduced input, depth >= 3, uppers that improve
+# at budget 1, a search that never closes, and a negative file coefficient
+# (no early exit).
+_SCALE_FILES = {
+    "plus.scale": "# sparse, with a gap\n1 = 1/3\n3 = 2/5\n",
+    "minus.scale": "0 = -1/8\n2 = 1/2\n",
+}
+_SCALE_WORDS = (
+    "e",
+    "[1] [1]^-1 [2]",
+    "e [1,2] e",
+    "[2]^-1 [0,1]",
+    "[1,2,3] [1,2,4]^-1",
+    "[0,0,1]^-1 [1] [0]",
+    "[0,3] [2]^-1 [0]^-1",
+    "[1]^-1 [2] [1,2]",
+)
+_SCALE_NORM_DIGESTS = {
+    "--scale weighted --budget 0": "db5a8aa836794bdedeb739d984ba9aa338021d9d332ffeb33d8b2505e5dbf8d3",
+    "--scale weighted --budget 0 --witness": "c17e74c0f1e0876e45fd0aa2a6a2d0618480c87417e6da122e6d46023605dc2d",
+    "--scale weighted --budget 0 --json": "0277439a6805358dcfb5879f08c975c9bd01b958ca3a29422f6edd1e54dad4b6",
+    "--scale weighted --budget 1": "41c349466ea4ebd24dc39c83ced741e6fd7a40a41a6652b69779dc6d2d24c517",
+    "--scale weighted --budget 1 --witness": "36c5b53f049cb0951f9f0ac9008e534f919736d2ac31822eb98ccd366b848a17",
+    "--scale weighted --budget 1 --json": "72dd013f363d9f0f079dfc3573c68478a257d988631320144e21ded7a5dd479b",
+    "--scale weighted --budget 2": "41c349466ea4ebd24dc39c83ced741e6fd7a40a41a6652b69779dc6d2d24c517",
+    "--scale weighted --budget 2 --witness": "36c5b53f049cb0951f9f0ac9008e534f919736d2ac31822eb98ccd366b848a17",
+    "--scale weighted --budget 2 --json": "72dd013f363d9f0f079dfc3573c68478a257d988631320144e21ded7a5dd479b",
+    "--scale file:plus.scale --budget 0": "ec881902a25cdf505a48e9975958ab86ff0bce3ec9179c791159cb5d94dfdb37",
+    "--scale file:plus.scale --budget 0 --witness": "2d2c7ad2dbe8212a03c9155ff0b4508a0cb38a1a6df55848858b761199a4a522",
+    "--scale file:plus.scale --budget 0 --json": "3f4f3299d0a9253c57746b54d10ce5814e1862f0dfe74a7fa7fc5af08726dadb",
+    "--scale file:plus.scale --budget 1": "a03c54ffab14225bd2cd7b5af62fa16f2c274596bdbc1ea55807445e7069269d",
+    "--scale file:plus.scale --budget 1 --witness": "0362cba7f1fe096898e35793d6d733dc05ba63ab9f51d6f233dfa4dadb9c5a8e",
+    "--scale file:plus.scale --budget 1 --json": "e67dae55036db811323ff902687f407adafb5b21db119015f7cd5e025654bea0",
+    "--scale file:plus.scale --budget 2": "a03c54ffab14225bd2cd7b5af62fa16f2c274596bdbc1ea55807445e7069269d",
+    "--scale file:plus.scale --budget 2 --witness": "0362cba7f1fe096898e35793d6d733dc05ba63ab9f51d6f233dfa4dadb9c5a8e",
+    "--scale file:plus.scale --budget 2 --json": "e67dae55036db811323ff902687f407adafb5b21db119015f7cd5e025654bea0",
+    "--scale file:minus.scale --budget 0": "bd84c6d7932773ad68cafcc3eccab90cd87f7a285fd506be03642d1a63755db1",
+    "--scale file:minus.scale --budget 0 --witness": "65e6352503a58771505e20e992affce0fba3f4b5b0ba2f0091c4f030921a3d8c",
+    "--scale file:minus.scale --budget 0 --json": "ad34b254e21f8856d1bc68481cd18f6e1d6a1515ebae5bd82740aebc8508c2ee",
+    "--scale file:minus.scale --budget 1": "582adef15ef8a3e741fa469ce9fe63cbc863acd573311e25f3e85f59fd5bfb33",
+    "--scale file:minus.scale --budget 1 --witness": "6a0ca422bf601a0de03b4e8e59a70c533777a072d0625a382b109eba401b289a",
+    "--scale file:minus.scale --budget 1 --json": "7edf644ec81cab8ce8c8e16b228cdb01e34c0b135e4e380cbdfc8c91e6dee759",
+    "--scale file:minus.scale --budget 2": "415c2bd255d82bc98de667931b0f1aff0f7f119684933b35ce9a65073a40f36b",
+    "--scale file:minus.scale --budget 2 --witness": "749294badcc12ba08466606a5fd031719fbb1ee3fbf0364eebe8a556c303f56b",
+    "--scale file:minus.scale --budget 2 --json": "4c26866c5bc6a5472082055f0d03237e02ffb191b052995ec8d472bb9a7e6ca6",
+}
+_SCALE_SUITE_DIGESTS = {
+    "scale-axioms --scale weighted": "921ccaddd6ea31c33cca964329bd0530352ff0574c82493b65a3ae8bb61db403",
+    "scale-axioms --scale weighted --json": "8c028bfba1d1cb14c0139f10bd97cd48211e76cdabe70d915a1b515aa17f8268",
+    "scale-axioms --scale file:plus.scale": "735af4839a40249c49cb9cbd968ae8839abdd6210c211e3f300e6641f5f02f68",
+    "scale-axioms --scale file:plus.scale --json": "bb0275c06065c49fcb3d1c00f2001cc12b37da9f0191bae0c19d4530424206d4",
+    "scale-axioms --scale file:minus.scale": "c1ddb18c78a9717c3fcb6aa59718345d4210ddc3f87fbc6728588862608d09cd",
+    "scale-axioms --scale file:minus.scale --json": "ef291efdfe1974007c92ad5caff9049e077aefea3b70b9c7887547a95a537f8e",
+    "extension --scale weighted": "fd52cb33fc8624afe7ffff01740ab130045f5bb26707e1b531b9c47cc8418e13",
+    "extension --scale weighted --json": "8963bc739ea6270a6088c827cfa54308d0fc1bf659bded8364add0ac2b7ab2e6",
+    "extension --scale file:plus.scale": "eada515542f6bd777efee383ff268412d493fc8991aba62b6fc0ebe16b242ebf",
+    "extension --scale file:plus.scale --json": "4d0c326372ab0071f9753a9d4812c7dc31f403395f9dfb1d6193191243ddfb25",
+    "extension --scale file:minus.scale": "9fdfe3aab80061d004ca0ecaa5dc65a6275f0371833e15868cf3ea81ad8426d4",
+    "extension --scale file:minus.scale --json": "63afb1e127f2275d0ff9a54b0ae850e25c69572388a92e15595e004e8e1b7a47",
+}
+
+
+def test_scale_paths_byte_identical_digests(capsys, tmp_path, monkeypatch):
+    # the scale-axioms and extension reports print the scale file path
+    monkeypatch.chdir(tmp_path)
+    for name, text in _SCALE_FILES.items():
+        (tmp_path / name).write_text(text)
+    for shown, digest in _SCALE_NORM_DIGESTS.items():
+        out = ""
+        for w in _SCALE_WORDS:
+            code, text, _ = run(capsys, "norm", *shown.split(), w)
+            assert code == 0, (shown, w)
+            out += text
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, shown
+    for shown, digest in _SCALE_SUITE_DIGESTS.items():
+        suite, *rest = shown.split()
+        code, out, _ = run(capsys, "verify", "--suite", suite, *rest)
+        assert code in (0, 1), shown
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, shown
+
+
 # --- fuzz over the grammar, the subcommands and small flags --------------------------
 
 _points = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(

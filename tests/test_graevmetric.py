@@ -26,8 +26,8 @@ from graev.graevmetric import (
     graev_norm_bruteforce,
     graev_norm_dp,
 )
-from graev.matching import apply_match, rho
-from graev.sampling import exhaustive_reduced_words, sample_reduced_word
+from graev.matching import apply_match, is_match, rho
+from graev.sampling import exhaustive_reduced_words, sample_match, sample_reduced_word
 
 from conftest import ALPHA3, DEEP_POINTS
 
@@ -79,6 +79,14 @@ def test_enumeration_cap_error_names_cap(monkeypatch):
         graev_norm_bruteforce(word(pos(1), pos(2), pos(3), pos(4), pos(5)))
     # DP path is uncapped; seven unit-cost arcs plus one fixed point
     assert graev_norm_dp(long_word) == 8
+
+
+def test_sample_match_refuses_lengths_above_cap(monkeypatch):
+    rng = random.Random(0)
+    monkeypatch.setenv("GRAEV_MATCH_CAP", "4")
+    with pytest.raises(ResourceLimitError, match="cap 4; set GRAEV_MATCH_CAP"):
+        sample_match(rng, 5)
+    assert is_match(sample_match(rng, 4).map)
 
 
 def test_distance_examples():

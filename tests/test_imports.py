@@ -1,5 +1,6 @@
 """Standard-library AST scans: every module and test imports only names it
-uses, and every top-level function and class of the package is used."""
+uses, and every top-level function, class and assigned name of the package
+is used."""
 
 import ast
 from pathlib import Path
@@ -39,7 +40,7 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# --- every top-level def and class of src/graev is referenced ------------------------
+# --- every top-level def, class and assignment of src/graev is referenced ------------
 
 DEFINERS = sorted(p for p in ROOT.glob("src/graev/*.py") if p.name != "__init__.py")
 REFERRERS = [*ROOT.glob("src/graev/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("graevbench/*.py")]
@@ -62,17 +63,28 @@ def referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a top-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
 def unreferenced_definitions(source: str, elsewhere: set[str]) -> list[str]:
-    """Top-level def and class names of source that neither another of its
-    top-level statements nor elsewhere references (recursion is no use)."""
+    """Top-level def, class and assigned names of source that neither
+    another of its top-level statements nor elsewhere references (recursion
+    and self-reference are no use)."""
     body = ast.parse(source).body
     refs = [referenced_names(stmt) for stmt in body]
     return [
-        stmt.name
+        name
         for i, stmt in enumerate(body)
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and stmt.name not in elsewhere
-        and not any(stmt.name in r for j, r in enumerate(refs) if j != i)
+        for name in defined_names(stmt)
+        if name not in elsewhere and not any(name in r for j, r in enumerate(refs) if j != i)
     ]
 
 
@@ -86,8 +98,25 @@ def test_scan_finds_an_unreferenced_definition():
         "def by_string():\n    pass\n"
         "TABLE = ('module', 'by_string')\n"
     )
-    assert unreferenced_definitions(source, set()) == ["used", "recursive", "dead"]
-    assert unreferenced_definitions(source, {"used", "recursive", "dead"}) == []
+    # TABLE itself is an assignment nothing references
+    assert unreferenced_definitions(source, set()) == ["used", "recursive", "dead", "TABLE"]
+    assert unreferenced_definitions(source, {"used", "recursive", "dead", "TABLE"}) == []
+
+
+def test_scan_finds_an_unreferenced_assignment():
+    source = (
+        "ZERO = 0\n"
+        "ONE: int = ZERO + 1\n"
+        "UNUSED = ONE\n"
+        "COUNT = 0\n"
+        "COUNT = COUNT + 1\n"
+        "ANNOTATED: int\n"
+        "A = B = 2\n"
+        "def f():\n    return A\n"
+        "TABLE = ('module', 'f')\n"
+    )
+    assert unreferenced_definitions(source, set()) == ["UNUSED", "ANNOTATED", "B", "TABLE"]
+    assert unreferenced_definitions(source, {"UNUSED", "ANNOTATED", "B", "TABLE"}) == []
 
 
 @pytest.mark.parametrize("path", DEFINERS, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,8 +22,24 @@ from conftest import involutions
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798]
 
 
+def literal_is_match(candidate):
+    """The definition read literally: an in-range involution with no
+    i < j < theta(i) < theta(j).  Quadratic; the reference for is_match."""
+    seq = tuple(candidate)
+    n = len(seq)
+    if any(not 0 <= v < n for v in seq):
+        return False
+    if any(seq[seq[i]] != i for i in range(n)):
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j < seq[i] < seq[j]:
+                return False
+    return True
+
+
 def oracle_matches(n):
-    return [m for m in involutions(n) if is_match(m)]
+    return [m for m in involutions(n) if literal_is_match(m)]
 
 
 # --- is_match ---------------------------------------------------------------
@@ -34,6 +52,35 @@ def test_is_match_examples():
     assert not is_match((1, 2, 0))  # not an involution
     assert not is_match((5, 1, 2))  # out-of-range image rejected, not an error
     assert is_match((0,))
+
+
+def test_is_match_equals_literal_quantifier_exhaustive():
+    # every map {0..n-1} -> {0..n}: out-of-range images, non-involutions,
+    # crossings and the empty map
+    for n in range(7):
+        for cand in itertools.product(range(n + 1), repeat=n):
+            assert is_match(cand) == literal_is_match(cand), cand
+
+
+def test_is_match_equals_literal_quantifier_random():
+    rng = random.Random(20)
+    verdicts = set()
+    for _ in range(20000):
+        n = rng.randint(0, 12)
+        if rng.random() < 0.5:
+            cand = [rng.randint(0, n) for _ in range(n)]
+        else:  # a random involution, crossing or not, sometimes with one image moved
+            cand = list(range(n))
+            free = rng.sample(range(n), n)
+            for a, b in zip(free[::2], free[1 :: 2]):
+                if rng.random() < 0.7:
+                    cand[a], cand[b] = b, a
+            if n and rng.random() < 0.2:
+                cand[rng.randrange(n)] = rng.randint(0, n)
+        verdict = is_match(cand)
+        assert verdict == literal_is_match(cand), cand
+        verdicts.add((n > 8, verdict))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_is_match_requires_involution_everywhere():

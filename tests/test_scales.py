@@ -35,7 +35,7 @@ from graev.scales import (
     weighted_scale,
 )
 
-from conftest import ALPHA3, DEEP_POINTS
+from conftest import ALPHA3, DEEP_POINTS, random_raw_word
 
 WEIGHTED = weighted_scale()
 
@@ -46,12 +46,6 @@ EPS_TAIL = [F(1, 64), F(1, 256)]
 
 def broken_scale():
     return Scale("broken", lambda x, r: r if x.is_identity else r + 1)
-
-
-def random_raw_word(rng, length):
-    """Arbitrary word, identity letters and adjacent cancellations allowed."""
-    pool = [Letter(s, p) for p in DEEP_POINTS for s in (1, -1)] + [IDENTITY]
-    return Word(tuple(rng.choice(pool) for _ in range(length)))
 
 
 # --- shipped scales and the axiom checker -------------------------------------

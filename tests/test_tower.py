@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from graev.freegroup import (
-    IDENTITY,
     IDENTITY_WORD,
     Letter,
     Point,
@@ -34,15 +33,10 @@ from graev.tower import (
     separating_level,
 )
 
-from conftest import ALPHA3, DEEP_POINTS
+from conftest import ALPHA3, DEEP_POINTS, random_raw_word
 
 WEIGHTED = weighted_scale()
 TOWER_POINTS = [Point(()), Point((1,)), Point((1, 2))]
-
-
-def random_raw_word(rng, length):
-    pool = [Letter(s, p) for p in DEEP_POINTS for s in (1, -1)] + [IDENTITY]
-    return Word(tuple(rng.choice(pool) for _ in range(length)))
 
 
 # --- projections ---------------------------------------------------------------
