@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import lcm
 from operator import add
+from typing import Callable
 
 from .errors import ResourceLimitError
 from .freegroup import (
     IDENTITY,
+    Point,
     Rat,
     ReducedWord,
     Word,
@@ -129,6 +132,38 @@ def trivial_norm_dp(w: Word) -> tuple[Rat, list[list[int | None]]]:
                 choice_i[j] = i + splits.index(cheapest)
             here[j] = there[i] = best
     return Rat(row[0][n - 1], unit), choice
+
+
+def scaled_norm_dp(w: Word, factor: Callable[[Point], Rat]) -> tuple[Rat, list[list[int | None]]]:
+    """trivial_norm_dp for a multiplicative scale, scale(x, r) = r * factor(x.point) off
+    the identity: the ends pay d(x_i^{-1}, x_j) + max(r F_i, r F_j), r the inner value.
+    Integers in units of 2^-max_depth * L^-floor(n/2), L the lcm of the factors'
+    denominators: an interval of length m nests at most floor(m/2) factors, so the
+    division by L is exact.  Factors and values may be negative."""
+    n = len(w)
+    if n == 1:
+        return letter_distance(IDENTITY, w.letters[0]), [[None]]
+    unit, fix, pair = _unit_costs(w)
+    factors = [1 if x.point is None else factor(x.point) for x in w.letters]
+    den = lcm(*(f.denominator for f in factors))
+    grow = den ** (n // 2)
+    scaled = [f.numerator * (den // f.denominator) for f in factors]  # F_i = factor_i * den
+    row = [[0] * n for _ in range(n + 1)]
+    col = [[0] * n for _ in range(n)]
+    choice: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        here, inner, pair_i, choice_i, f_i = row[i], row[i + 1], pair[i], choice[i], scaled[i]
+        here[i] = col[i][i] = fix[i] * grow
+        for j in range(i + 1, n):
+            there, r = col[j], inner[j - 1]
+            best = pair_i[j] * grow + max(r * f_i, r * scaled[j]) // den
+            splits = list(map(add, here[i:j], there[i + 1 : j + 1]))
+            cheapest = min(splits)
+            if cheapest < best:
+                best = cheapest
+                choice_i[j] = i + splits.index(cheapest)
+            here[j] = there[i] = best
+    return Rat(row[0][n - 1], unit * grow), choice
 
 
 def graev_norm_dp(w: Word) -> Rat:

@@ -8,9 +8,10 @@ every axiom a finite rational comparison and is regular (coordinate
 truncation only drops nonnegative summands).
 
 For a general scale the exact norm is an infimum over infinitely many
-pre-reduced spellings of a word; this module reports certified intervals
-instead: the lower bound is the trivial-scale Graev norm, the upper bound
-comes from a bounded search over spellings with cancelling pairs inserted.
+pre-reduced spellings of a word; this module reports intervals instead: the
+upper bound comes from a bounded search over spellings with cancelling pairs
+inserted, the lower bound is the trivial-scale Graev norm, certified only for
+scales declared dominating.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .freegroup import (
     multiply,
     reduce_word,
 )
-from .graevmetric import NormResult, graev_norm_dp, trivial_norm_dp
+from .graevmetric import NormResult, graev_norm_dp, scaled_norm_dp, trivial_norm_dp
 from .matching import Match, is_match, match_from_choices
 from .reports import CheckCase, VerificationReport
 
@@ -49,6 +50,7 @@ class Scale:
     evaluate: Callable[[Letter, Rat], Rat]
     declared_regular: bool = False
     declared_dominating: bool = False  # scale(x, r) >= r for every r >= 0
+    factor: Callable[[Point], Rat] | None = None  # scale(x, r) == r * factor(x.point), x != e
 
     def __call__(self, x: Letter, r: Rat) -> Rat:
         return self.evaluate(x, r)
@@ -90,7 +92,9 @@ def weighted_scale(
             return r
         return r * weight(x.point)
 
-    return Scale(name, evaluate, declared_regular=True, declared_dominating=dominating)
+    return Scale(
+        name, evaluate, declared_regular=True, declared_dominating=dominating, factor=weight
+    )
 
 
 def load_scale_file(path: str) -> Scale:
@@ -167,12 +171,14 @@ def norm_theta_min(w: Word, scale: Scale) -> NormResult:
     The pair-ends branch may take the minimal inner value because scales
     are monotone in their second argument.  The input word is used as
     given (it is not reduced); a minimizing match is reconstructed.  The
-    trivial scale runs graevmetric.trivial_norm_dp, this DP on integers.
+    trivial scale and scales with a factor run it on integers in graevmetric.
     """
     ls = w.letters
     n = len(ls)
-    if scale is TRIVIAL_SCALE:
-        value, choice = trivial_norm_dp(w)
+    if scale is TRIVIAL_SCALE or scale.factor is not None:
+        value, choice = (
+            trivial_norm_dp(w) if scale is TRIVIAL_SCALE else scaled_norm_dp(w, scale.factor)
+        )
         return NormResult(value, match_from_choices(choice, n))
     val: list[list[Rat]] = [[ZERO] * n for _ in range(n)]
     choice: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -199,7 +205,8 @@ def norm_theta_min(w: Word, scale: Scale) -> NormResult:
 
 @dataclass(frozen=True)
 class BoundedNorm:
-    """Certified interval for a scale norm; the true value lies inside.
+    """Interval for a scale norm: upper is the cost of a spelling, lower is
+    certified only for scales declared dominating.
 
     The upper witness is a pre-reduced spelling plus a match attaining the
     upper value; it is None for composite (summed) intervals.
@@ -234,10 +241,11 @@ def norm_bounds(
     insertion_budget: int,
     search_cap: int | None = None,
 ) -> BoundedNorm:
-    """Certified interval for the scale norm of w.
+    """Interval for the scale norm of w.
 
-    lower: the trivial-scale Graev norm (a lower bound for any scale, since
-    scale values dominate their argument, and exact for the trivial scale).
+    lower: the trivial-scale Graev norm (a certified lower bound only for a
+    scale declared dominating, whose values dominate their argument, and
+    exact for the trivial scale; for other scales it can exceed upper).
     upper: the cheapest norm_theta_min over spellings reached
     from the reduced w by inserting up to insertion_budget adjacent
     cancelling pairs from insertion_alphabet(w); each extra budget level

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import graev.scales
+from graev import cli
 from graev.errors import ResourceLimitError
 from graev.freegroup import (
     IDENTITY,
@@ -13,6 +15,7 @@ from graev.freegroup import (
     invert,
     multiply,
     neg,
+    parse_word,
     pos,
     reduce_word,
     word,
@@ -22,6 +25,7 @@ from graev.matching import Match, enumerate_matches, is_match
 from graev.sampling import sample_match, sample_reduced_word
 from graev.scales import (
     BoundedNorm,
+    DEFAULT_SEARCH_CAP,
     Scale,
     TRIVIAL_SCALE,
     check_scale_axioms,
@@ -177,6 +181,49 @@ def test_norm_theta_min_trivial_kernel_equals_generic_dp():
         assert kernel.witness.map == generic.witness.map
 
 
+def factor_scales(tmp_path):
+    """Every kind of scale with a factor: weighted and file scales with
+    nonnegative, negative (factors 0 and below 0), non-dyadic, far-index
+    and near-2^61 coefficients."""
+    files = {
+        "nonneg": "0 = 1/4\n2 = 3/8\n",
+        "negative": "0 = -1\n1 = -3\n",
+        "far": "1000000000000 = 5/2\n",
+        "huge-denominator": f"0 = 1/{2**61 - 1}\n2 = -5/{2**61 + 3}\n",
+    }
+    scales = [WEIGHTED, weighted_scale((F(3, 7), F(5, 11), F(-2, 3)))]
+    for name, text in files.items():
+        path = tmp_path / f"{name}.scale"
+        path.write_text(text)
+        scales.append(load_scale_file(str(path)))
+    return scales
+
+
+def test_norm_theta_min_factor_kernel_equals_rational_dp(tmp_path):
+    # a scale with a factor runs the integer kernel; its callable-only copy
+    # runs the rational DP, which must agree on the value and the witness
+    rng = random.Random(59)
+    for scale in factor_scales(tmp_path):
+        callable_only = Scale(scale.name, scale.evaluate)
+        for _ in range(200):
+            w = random_raw_word(rng, rng.randint(1, 12))
+            kernel = norm_theta_min(w, scale)
+            rational = norm_theta_min(w, callable_only)
+            assert kernel.value == rational.value
+            assert kernel.witness.map == rational.witness.map
+
+
+def test_scale_factor_contract(tmp_path):
+    # scale(x, r) == r * factor(x.point) on every signed letter, r of any sign
+    grid = R_GRID + [F(-1), F(-3, 7)]
+    for scale in factor_scales(tmp_path):
+        for r in grid:
+            assert scale(IDENTITY, r) == r
+            for x in PROBE_LETTERS:
+                assert scale(x, r) == r * scale.factor(x.point)
+    assert Scale("bare", lambda x, r: r).factor is None
+
+
 def test_norm_theta_min_examples():
     assert norm_theta_min(word(neg(1, 2), pos(1, 3)), WEIGHTED).value == F(1, 2)
     assert norm_theta_min(word(pos(1)), WEIGHTED).value == 1
@@ -223,8 +270,10 @@ def test_norm_bounds_search_cap():
 
 def exhaustive_bounds(w, scale, budget, cap):
     """The insertion search with no early exit: Letter-tuple spellings in
-    breadth-first order, each evaluated, the first strict minimum kept."""
+    breadth-first order, each evaluated by the rational DP of a
+    callable-only copy of the scale, the first strict minimum kept."""
     rw = reduce_word(w)
+    oracle = Scale(scale.name, scale.evaluate)
     alphabet = insertion_alphabet(rw)
     seen = {rw.letters}
     order = [rw.letters]
@@ -247,7 +296,7 @@ def exhaustive_bounds(w, scale, budget, cap):
         frontier = grown
     best, best_word = None, None
     for letters in order:
-        res = norm_theta_min(Word(letters), scale)
+        res = norm_theta_min(Word(letters), oracle)
         if best is None or res.value < best.value:
             best, best_word = res, Word(letters)
     return BoundedNorm(graev_norm_dp(rw), best.value, best_word, best.witness)
@@ -285,6 +334,28 @@ def test_norm_bounds_equals_exhaustive_search(tmp_path):
                 assert bounds_or_cap_error(norm_bounds, *args) == bounds_or_cap_error(
                     exhaustive_bounds, *args
                 )
+
+
+def test_spellings_are_evaluated_through_module_norm_theta_min(monkeypatch, capsys):
+    # the benchmark counts scales.norm_theta_min calls and cells, and
+    # norm_bounds candidates, by wrapping this module-level name
+    evaluate = graev.scales.norm_theta_min
+    calls, spellings = [], []
+    monkeypatch.setattr(
+        graev.scales, "norm_theta_min", lambda w, s: calls.append(w) or evaluate(w, s)
+    )
+    monkeypatch.setitem(
+        globals(), "norm_theta_min", lambda w, s: spellings.append(w) or evaluate(w, s)
+    )
+    w = reduce_word(parse_word("[1,2]^-1 [0]^-1 [1]"))
+    b = norm_bounds(w, WEIGHTED, 2)
+    assert (b.lower, b.upper) == (F(3, 2), F(7, 4))  # never closes: every spelling runs
+    assert b == exhaustive_bounds(w, WEIGHTED, 2, DEFAULT_SEARCH_CAP)
+    assert len(calls) == len(spellings) > 1
+    calls.clear()
+    assert cli.main(["norm", "--scale", "weighted", "--budget", "1", "[1]"]) == 0
+    assert capsys.readouterr().out == "lower 1/1 upper 1/1\n"
+    assert len(calls) == 1  # closes on the reduced spelling
 
 
 def test_declared_dominating(tmp_path):
