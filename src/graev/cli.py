@@ -10,6 +10,7 @@ All numeric output is exact "p/q".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -225,6 +226,8 @@ def _load_or_default_corpus(args: argparse.Namespace, points: list[Point]) -> li
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.cases < 0:
+        raise ValueError(f"--cases must be >= 0, got {args.cases}")
     if args.suite == "discreteness":
         points = _default_points(args.level)
         corpus = _load_or_default_corpus(args, points)
@@ -259,7 +262,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process-wide parser, built on first use.  It keeps no per-call
+    state: each parse makes fresh namespaces, and help and usage text are
+    formatted against the streams and terminal width of the moment."""
     parser = argparse.ArgumentParser(
         prog="graev",
         description="Exact Graev norms and metrics on free-group words, "

@@ -10,9 +10,12 @@ rationals; there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+
+from .errors import ResourceLimitError
 
 Rat = Fraction
 
@@ -271,5 +274,16 @@ def format_word(w: Word) -> str:
 
 
 def format_rat(r: Rat) -> str:
-    """Exact rational as "p/q" (q = 1 printed as "p/1")."""
-    return f"{r.numerator}/{r.denominator}"
+    """Exact rational as "p/q" (q = 1 printed as "p/1").
+
+    A numerator or denominator with more decimal digits than the
+    interpreter converts (sys.get_int_max_str_digits()) raises
+    ResourceLimitError naming that limit.
+    """
+    try:
+        return f"{r.numerator}/{r.denominator}"
+    except ValueError:
+        raise ResourceLimitError(
+            f"a rational has more than {sys.get_int_max_str_digits()} digits, the "
+            "interpreter's int-to-str limit; raise PYTHONINTMAXSTRDIGITS"
+        ) from None

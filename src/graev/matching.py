@@ -8,9 +8,11 @@ Matches over a sub-interval are always re-indexed to start at 0.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .errors import ResourceLimitError
 from .freegroup import IDENTITY, Rat, Word, ZERO, letter_distance
 
 
@@ -120,15 +122,26 @@ def enumerate_matches(length: int) -> Iterator[Match]:
 
 
 def count_matches(length: int) -> int:
-    """Motzkin number M_length: M_0 = M_1 = 1,
-    M_{n+1} = M_n + sum_{k<n} M_k * M_{n-1-k}."""
+    """Motzkin number M_length by the exact three-term recurrence
+    (n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2}, from M_0 = M_1 = 1.
+
+    Raises ResourceLimitError once a term has more decimal digits than the
+    interpreter converts (sys.get_int_max_str_digits(), 0 for no limit):
+    the sequence never decreases, so M_length could not be printed either.
+    """
     if length < 0:
         raise ValueError("length must be >= 0")
-    m = [1, 1]
-    while len(m) <= length:
-        n = len(m) - 1
-        m.append(m[n] + sum(m[k] * m[n - 1 - k] for k in range(n)))
-    return m[length]
+    digits = sys.get_int_max_str_digits()
+    too_long = 10**digits if digits else 0
+    prev, cur = 1, 1
+    for n in range(2, length + 1):
+        prev, cur = cur, ((2 * n + 1) * cur + 3 * (n - 1) * prev) // (n + 2)
+        if too_long and cur >= too_long:
+            raise ResourceLimitError(
+                f"the number of matches of length {length} has more than {digits} "
+                "digits, the interpreter's int-to-str limit; raise PYTHONINTMAXSTRDIGITS"
+            )
+    return cur
 
 
 def apply_match(w: Word, theta: Match) -> Word:

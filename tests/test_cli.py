@@ -2,12 +2,19 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graev.cli import CorpusSyntaxError, main, parse_corpus
+import graev.cli
+from graev.cli import CorpusSyntaxError, build_parser, main, parse_corpus
 from graev.freegroup import format_word, is_reduced
 
 
@@ -152,6 +159,25 @@ def test_invariant_violation_exits_4(capsys, monkeypatch, exc, shown):
     assert err == f"error: internal invariant violation: {shown}\n"
 
 
+def test_count_only_above_the_digit_limit_exits_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "matches", "--len", "20000", "--count-only")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert f"{sys.get_int_max_str_digits()} digits" in err
+
+
+def test_numbers_too_long_to_print_exit_3(capsys):
+    limit = f"{sys.get_int_max_str_digits()} digits"
+    code, out, err = run(capsys, "verify", "--suite", "discreteness", "--level", "14300")
+    assert (code, out) == (3, "")
+    assert limit in err
+    deep = ",".join(["0"] * 14300)
+    code, out, err = run(capsys, "dist", f"[{deep},1]", f"[{deep},2]")
+    assert (code, out) == (3, "")
+    assert limit in err
+
+
 def test_missing_corpus_file_exits_2(capsys):
     code, _, err = run(
         capsys, "verify", "--suite", "discreteness", "--corpus", "/nonexistent/c.txt"
@@ -216,6 +242,17 @@ def test_verify_negative_level_exits_2_without_pairs(capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--suite", suite, "--level", "-1", "--corpus", str(path))
         assert code == 2
         assert "level" in err
+
+
+def test_verify_negative_cases_exits_2(capsys, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("[1]\n")
+    for suite in ("discreteness", "lipschitz"):
+        for corpus in ([], ["--corpus", str(path)]):
+            argv = ["verify", "--suite", suite, "--level", "1", "--cases", "-3", *corpus]
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "--cases" in err
 
 
 # --- verification suites ----------------------------------------------------------------
@@ -538,6 +575,17 @@ def _cli_call(draw, command: str):
     return argv, "\n".join(corpus), "\n".join(scale_file)
 
 
+def _call(argv: list[str], fresh_parser: bool = False) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process main call, through the
+    shared parser or through a parser built for this call alone."""
+    builder = build_parser.__wrapped__ if fresh_parser else build_parser
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(graev.cli, "build_parser", builder):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("command", _COMMANDS)
 @given(data=st.data())
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -548,8 +596,64 @@ def test_main_fuzz_ends_with_an_exit_code(tmp_path_factory, command, data):
     (where / "corpus.txt").write_text(corpus)
     (where / "scale.txt").write_text(scale_file)
     argv = [a.replace("@", f"{where}/") for a in argv]  # no drawn text holds "@"
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) in (0, 1, 2, 3), argv
+    shared = _call(argv)
+    assert shared[0] in (0, 1, 2, 3), argv
+    assert _call(argv, fresh_parser=True) == shared, argv
+
+
+# Every subcommand, plain and --json, interleaved with help and usage errors,
+# so that a parse leaving state in the shared parser shows in a later call.
+_PARSER_CALLS = [
+    ["norm", "[1] [2]^-1 [1,2]"],
+    ["--help"],
+    ["norm", "--json", "--witness", "[1] [2]^-1 [1,2]"],
+    [],
+    ["norm", "--scale", "weighted", "--budget", "1", "--witness", "[1] [1,2]^-1"],
+    ["nosuch"],
+    ["norm", "--scale", "weighted", "--json", "[1] [1,2]^-1"],
+    ["norm", "--help"],
+    ["norm"],
+    ["dist", "[1,2]", "[1,3]"],
+    ["norm", "--budget"],
+    ["dist", "--json", "[1,2]", "[1,3]"],
+    ["matches", "--len", "x"],
+    ["matches", "--len", "4"],
+    ["matches", "--len", "30", "--count-only"],
+    ["verify", "--suite", "bogus"],
+    ["project", "-n", "1", "[1,2] [3]^-1"],
+    ["seplevel", "[1,2]", "[1,3]"],
+    ["verify", "--suite", "discreteness", "--level", "1"],
+    ["verify", "--suite", "discreteness", "--level", "2", "--cases", "5", "--json"],
+    ["verify", "--suite", "lipschitz", "--level", "0", "--cases", "4", "--seed", "3"],
+    ["verify", "--suite", "lipschitz", "--level", "0", "--json"],
+    ["verify", "--suite", "extension", "--level", "1"],
+    ["verify", "--suite", "extension", "--level", "1", "--json"],
+    ["verify", "--suite", "scale-axioms"],
+    ["verify", "--suite", "scale-axioms", "--json"],
+    ["norm", "[1] [2]^-1 [1,2]"],
+    ["--help"],
+]
+
+
+def test_shared_parser_gives_the_bytes_of_a_fresh_one():
+    shared = [_call(argv) for argv in _PARSER_CALLS]
+    fresh = [_call(argv, fresh_parser=True) for argv in _PARSER_CALLS]
+    assert shared == fresh
+    assert {code for code, _, _ in shared} == {0, 2}
+    assert build_parser.cache_info().misses == 1
+
+
+def test_import_builds_no_parser():
+    src = Path(graev.cli.__file__).resolve().parents[1]
+    probe = "import graev.cli as c; print(c.build_parser.cache_info().misses)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "0\n"
 
 
 @given(st.lists(st.one_of(_texts, _texts.map(lambda t: t + "  # comment"))))

@@ -1,9 +1,11 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from graev.errors import ResourceLimitError
 from graev.freegroup import IDENTITY, letter_distance, neg, pos, word
 from graev.matching import (
     Match,
@@ -97,10 +99,44 @@ def test_counts_match_involution_oracle():
         assert len(oracle_matches(n)) == MOTZKIN[n]
 
 
+def convolution_motzkin(length):
+    """M_0..M_length by M_{n+1} = M_n + sum_{k<n} M_k M_{n-1-k}.  Quadratic;
+    the reference for the three-term recurrence in count_matches."""
+    m = [1, 1]
+    while len(m) <= length:
+        n = len(m) - 1
+        m.append(m[n] + sum(m[k] * m[n - 1 - k] for k in range(n)))
+    return m[: length + 1]
+
+
 def test_count_matches_examples():
     assert count_matches(2) == 2
     assert count_matches(5) == 21
     assert count_matches(10) == 2188
+
+
+def test_count_matches_equals_convolution():
+    reference = convolution_motzkin(1000)
+    assert reference[: len(MOTZKIN)] == MOTZKIN
+    assert [count_matches(n) for n in range(1001)] == reference
+
+
+def test_count_matches_stops_at_the_int_to_str_limit():
+    limit = sys.get_int_max_str_digits()
+    assert limit > 0
+    try:  # the last printable length, found with the limit lifted
+        sys.set_int_max_str_digits(0)
+        low, high = 1, 4 * limit
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if len(str(count_matches(mid))) <= limit else (low, mid)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(str(count_matches(low))) == limit
+    with pytest.raises(ResourceLimitError, match=f"more than {limit} digits"):
+        count_matches(high)
+    with pytest.raises(ResourceLimitError, match=f"more than {limit} digits"):
+        count_matches(10**9)
 
 
 def test_enumeration_agrees_with_recurrence_and_oracle():
