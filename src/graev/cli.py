@@ -80,6 +80,8 @@ def parse_corpus(source: str | IO[str]) -> list[ReducedWord]:
                 lineno,
                 exc.position + 1,
             ) from None
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(f"line {lineno}: {exc}") from None
     return words
 
 

@@ -201,7 +201,14 @@ def _parse_nat(text: str, i: int) -> tuple[int, int]:
             start,
             found if start < len(text) else "",
         )
-    return int(text[start:i]), i
+    try:
+        return int(text[start:i]), i
+    except ValueError:  # decimal digits fail int() only above the digit limit
+        raise ResourceLimitError(
+            f"the natural number at column {start + 1} has more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's int-to-str limit; "
+            "raise PYTHONINTMAXSTRDIGITS"
+        ) from None
 
 
 def _parse_point(text: str, i: int) -> tuple[tuple[int, ...], int]:

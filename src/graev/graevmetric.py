@@ -4,7 +4,9 @@ Two independent routes compute the same minimum-cost rewriting over
 non-crossing matchings: explicit enumeration (the permanent oracle, capped
 because match counts grow like Motzkin numbers) and a cubic interval
 dynamic program (the uncapped scalable path) that also returns a
-minimizing match.  Both run on exact integers in units of 2^-max_depth,
+minimizing match.  The enumeration keeps, per interval, the cost of every
+match in enumeration order rather than the matches themselves; the lists
+are freed on return.  Both run on exact integers in units of 2^-max_depth,
 since every letter distance is a multiple of it.
 """
 
@@ -29,7 +31,7 @@ from .freegroup import (
     multiply,
     reduce_word,
 )
-from .matching import Match, match_maps
+from .matching import Match
 
 DEFAULT_MATCH_CAP = 14
 MATCH_CAP_ENV = "GRAEV_MATCH_CAP"
@@ -80,7 +82,12 @@ def graev_norm_bruteforce(w: Word, cap: int | None = None) -> NormResult:
     """Minimize the rewrite cost over every match, by enumeration.
 
     The input is reduced first and costs come from the same integer table
-    as the DP.  Ties go to the first minimizer in enumeration order.
+    as the DP.  costs[a][b] lists the cost of every match of [a, b) in the
+    order matching.match_maps yields them: a fixed, then a paired with each
+    j = a+1..b-1, inside matches outer, outside matches inner.  The minimum
+    is taken only over the whole word's list, and ties go to the first
+    minimizer; its index is unranked into the witness with the same lists'
+    lengths as block sizes.  No match is built but the witness.
     """
     rw = reduce_word(w)
     n = len(rw)
@@ -91,19 +98,38 @@ def graev_norm_bruteforce(w: Word, cap: int | None = None) -> NormResult:
             f"set {MATCH_CAP_ENV} to raise it, or use the dynamic program"
         )
     unit, fix, pair = _unit_costs(rw)
-    best: int | None = None
-    best_map: tuple[int, ...] = ()
-    for mp in match_maps(n):
-        cost = 0
-        for i, t in enumerate(mp):
-            if t == i:
-                cost += fix[i]
-            elif t > i:
-                cost += pair[i][t]
-        if best is None or cost < best:
-            best, best_map = cost, mp
-    assert best is not None
-    return NormResult(Rat(best, unit), Match(best_map))
+    costs = [[[0]] * (n + 1) for _ in range(n + 1)]  # costs[a][a] = [0], the empty match
+    for a in range(n - 1, -1, -1):
+        here, inner, fix_a, pair_a = costs[a], costs[a + 1], fix[a], pair[a]
+        for b in range(a + 1, n + 1):
+            block = [fix_a + c for c in inner[b]]
+            for j in range(a + 1, b):
+                outside, pair_aj = costs[j + 1][b], pair_a[j]
+                block += [pair_aj + ci + co for ci in inner[j] for co in outside]
+            here[b] = block
+    top = costs[0][n]
+    best = min(top)
+    mp = list(range(n))
+    pending = [(0, n, top.index(best))]  # (a, b, k): the k-th match of [a, b)
+    while pending:
+        a, b, k = pending.pop()
+        while a < b:
+            size = len(costs[a + 1][b])
+            if k < size:  # a is fixed
+                a += 1
+                continue
+            k -= size
+            for j in range(a + 1, b):
+                outside = len(costs[j + 1][b])
+                size = len(costs[a + 1][j]) * outside
+                if k < size:
+                    break
+                k -= size
+            k_inside, k = divmod(k, outside)
+            mp[a], mp[j] = j, a
+            pending.append((a + 1, j, k_inside))
+            a = j + 1
+    return NormResult(Rat(best, unit), Match(tuple(mp)))
 
 
 def trivial_norm_dp(w: Word) -> tuple[Rat, list[list[int | None]]]:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 import graev.cli
 from graev.cli import CorpusSyntaxError, build_parser, main, parse_corpus
-from graev.freegroup import format_word, is_reduced
+from graev.freegroup import Letter, Word, format_word, is_reduced, parse_word
+
+from conftest import ALPHA3, DEEP_POINTS
 
 
 def run(capsys, *argv):
@@ -176,6 +179,26 @@ def test_numbers_too_long_to_print_exit_3(capsys):
     code, out, err = run(capsys, "dist", f"[{deep},1]", f"[{deep},2]")
     assert (code, out) == (3, "")
     assert limit in err
+
+
+def test_over_long_coordinates_exit_3_naming_the_column(capsys, tmp_path):
+    digits = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "norm", f"[{'1' * digits}]")
+    assert (code, out) == (0, "1/1\n")
+    text = f"[2] [0,{'1' * (digits + 1)}]"
+    code, out, err = run(capsys, "norm", text)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: the natural number at column 8 has more than {digits} digits, "
+        "the interpreter's int-to-str limit; raise PYTHONINTMAXSTRDIGITS\n"
+    )
+    path = tmp_path / "corpus.txt"
+    path.write_text(f"[1]\n{text}\n")
+    code, out, err = run(
+        capsys, "verify", "--suite", "discreteness", "--level", "1", "--corpus", str(path)
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: line 2: the natural number at column 8 has more than")
 
 
 def test_missing_corpus_file_exits_2(capsys):
@@ -517,6 +540,44 @@ def test_scale_paths_byte_identical_digests(capsys, tmp_path, monkeypatch):
         suite, *rest = shown.split()
         code, out, _ = run(capsys, "verify", "--suite", suite, *rest)
         assert code in (0, 1), shown
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, shown
+
+
+def _bruteforce_words() -> list[str]:
+    # three seeded reduced words of each length 1-12; the 3-point alphabet
+    # makes ties between matches common, so the pins also cover the tie-break
+    rng = random.Random(9)
+    words = []
+    for n in range(1, 13):
+        for points in (ALPHA3, DEEP_POINTS, ALPHA3):
+            letters: list[Letter] = []
+            while len(letters) < n:
+                x = Letter(rng.choice((1, -1)), rng.choice(points))
+                if not letters or x != letters[-1].inverse():
+                    letters.append(x)
+            words.append(format_word(Word(tuple(letters))))
+    return words
+
+
+# sha256 of the concatenated stdout of `norm --bruteforce` over
+# _bruteforce_words(), recorded while the brute force still costed one match
+# tuple at a time.
+_BRUTEFORCE_DIGESTS = {
+    "": "983ffb0876d0cc41ce606e58e02dbcf75d60ebcb5231bd30bc04e3d235c7e486",
+    "--witness": "7071822f973f1d2332af759ebee8440ff1a60bc4bf343be3f3f94bbe5c224da7",
+    "--json": "22b3ec9d54669004a8165a8122ab93d61496a2c3a8c5a74a8c1e73e17c5b3246",
+}
+
+
+def test_bruteforce_byte_identical_digests(capsys):
+    words = _bruteforce_words()
+    assert [len(parse_word(w)) for w in words] == [n for n in range(1, 13) for _ in range(3)]
+    for shown, digest in _BRUTEFORCE_DIGESTS.items():
+        out = ""
+        for w in words:
+            code, text, _ = run(capsys, "norm", "--bruteforce", *shown.split(), w)
+            assert code == 0, (shown, w)
+            out += text
         assert hashlib.sha256(out.encode()).hexdigest() == digest, shown
 
 

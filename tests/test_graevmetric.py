@@ -26,10 +26,10 @@ from graev.graevmetric import (
     graev_norm_bruteforce,
     graev_norm_dp,
 )
-from graev.matching import apply_match, is_match, rho
+from graev.matching import Match, apply_match, is_match, match_maps, rho
 from graev.sampling import exhaustive_reduced_words, sample_match, sample_reduced_word
 
-from conftest import ALPHA3, DEEP_POINTS
+from conftest import ALPHA3, DEEP_POINTS, random_raw_word
 
 
 def test_norm_examples():
@@ -149,11 +149,45 @@ def test_discreteness_depth_two():
             assert graev_bidistance(u, v) >= F(1, 4)
 
 
+def literal_bruteforce(w):
+    """The definition read literally: cost every match of the reduced word
+    by rho(w, theta(w)) and keep the first strict minimum.  The reference
+    for graev_norm_bruteforce, value and witness."""
+    rw = reduce_word(w)
+    best = best_map = None
+    for mp in match_maps(len(rw)):
+        cost = rho(rw, apply_match(rw, Match(mp)))
+        if best is None or cost < best:
+            best, best_map = cost, mp
+    return best, best_map
+
+
+def test_bruteforce_equals_literal_exhaustive():
+    for w in exhaustive_reduced_words(list(ALPHA3), 5):
+        res = graev_norm_bruteforce(w)
+        assert (res.value, res.witness.map) == literal_bruteforce(w), w
+
+
+def test_bruteforce_equals_literal_random():
+    # seeded words up to length 11 over both alphabets, unreduced words with
+    # identity letters, then words up to length 12 until three have length 12
+    rng = random.Random(41)
+    words = [
+        sample_reduced_word(rng, points, 11, uniform_length=True)
+        for points in (ALPHA3, DEEP_POINTS)
+        for _ in range(20)
+    ]
+    words += [random_raw_word(rng, 12) for _ in range(10)]
+    while sum(len(reduce_word(w)) == 12 for w in words) < 3:
+        words.append(sample_reduced_word(rng, ALPHA3, 12, uniform_length=True))
+    for w in words:
+        res = graev_norm_bruteforce(w)
+        assert (res.value, res.witness.map) == literal_bruteforce(w), w
+
+
 def test_bruteforce_value_schedule_independent():
     # the minimum value must not depend on enumeration chunking: compare
     # against a reversed-order scan of the same match stream
-    from graev.matching import Match, match_maps
-
     w = reduce_word(word(pos(1), pos(2), neg(1, 2), pos(1)))
     res = graev_norm_bruteforce(w)
     best = min(
