@@ -7,7 +7,9 @@ dynamic program (the uncapped scalable path) that also returns a
 minimizing match.  The enumeration keeps, per interval, the cost of every
 match in enumeration order rather than the matches themselves; the lists
 are freed on return.  Both run on exact integers in units of 2^-max_depth,
-since every letter distance is a multiple of it.
+since every letter distance is a multiple of it.  The DP's loop, cost_dp,
+takes the integer cost tables themselves, so the verify suites
+(tower._ProductNorms) feed it from one letter-cost table per call.
 """
 
 from __future__ import annotations
@@ -133,15 +135,23 @@ def graev_norm_bruteforce(w: Word, cap: int | None = None) -> NormResult:
 
 
 def trivial_norm_dp(w: Word) -> tuple[Rat, list[list[int | None]]]:
-    """Minimum rewrite cost of w as spelled (not reduced), by an interval DP
-    on integers, and the choices match_from_choices turns into a minimizing
-    match.  C[i][j] pairs the ends, d(x_i^{-1}, x_j) + C[i+1][j-1], unless a
-    split C[i][k] + C[k+1][j] is strictly cheaper (then the first cheapest
-    k), as in scales.norm_theta_min, so both choose the same match."""
-    n = len(w)
-    if n == 1:  # skips the tables, which dominate the many one-letter calls
+    """Minimum rewrite cost of w as spelled (not reduced), by cost_dp on the
+    integer letter distances, and the choices match_from_choices turns into
+    a minimizing match."""
+    if len(w) == 1:  # skips the tables, which dominate the many one-letter calls
         return letter_distance(IDENTITY, w.letters[0]), [[None]]
     unit, fix, pair = _unit_costs(w)
+    value, choice = cost_dp(fix, pair)
+    return Rat(value, unit), choice
+
+
+def cost_dp(fix: list[int], pair: list[list[int]]) -> tuple[int, list[list[int | None]]]:
+    """The integer interval DP under trivial_norm_dp and the verify suites'
+    per-call cost table: fix[i] costs letter i alone, pair[i][j] (i < j)
+    its pairing with j.  C[i][j] pairs the ends, pair[i][j] + C[i+1][j-1],
+    unless a split C[i][k] + C[k+1][j] is strictly cheaper (then the first
+    cheapest k), as in scales.norm_theta_min, so both choose the same match."""
+    n = len(fix)
     row = [[0] * n for _ in range(n + 1)]  # row[i][j] = C[i][j], 0 for j < i and i = n
     col = [[0] * n for _ in range(n)]  # col[j][i] = C[i][j]
     choice: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -157,7 +167,7 @@ def trivial_norm_dp(w: Word) -> tuple[Rat, list[list[int | None]]]:
                 best = cheapest
                 choice_i[j] = i + splits.index(cheapest)
             here[j] = there[i] = best
-    return Rat(row[0][n - 1], unit), choice
+    return row[0][n - 1], choice
 
 
 def scaled_norm_dp(w: Word, factor: Callable[[Point], Rat]) -> tuple[Rat, list[list[int | None]]]:

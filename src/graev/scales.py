@@ -16,6 +16,8 @@ scales declared dominating.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
@@ -115,17 +117,31 @@ def load_scale_file(path: str) -> Scale:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected '<index> = <rational>'")
             left, right = line.split("=", 1)
-            try:
-                index = int(left.strip())
-                value = Rat(right.strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            where = f"{path}:{lineno}"
+            index = _file_number(int, left.strip(), where, "coordinate index")
+            value = _file_number(Rat, right.strip(), where, "coefficient")
             if index < 0:
                 raise ValueError(f"{path}:{lineno}: coordinate index must be >= 0")
             if index in entries:
                 raise ValueError(f"{path}:{lineno}: duplicate coordinate {index}")
             entries[index] = value
     return weighted_scale(entries, name=f"file:{path}")
+
+
+def _file_number(
+    convert: Callable[[str], int | Rat], text: str, where: str, what: str
+) -> int | Rat:
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        # a run of more decimal digits than the limit never converts
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(run) > limit for run in re.findall(r"\d+", text.replace("_", ""))):
+            raise ResourceLimitError(
+                f"{where}: the {what} has more than {limit} digits, the interpreter's "
+                "int-to-str limit; raise PYTHONINTMAXSTRDIGITS"
+            ) from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Truncating every point at depth n induces a group homomorphism on words.
 The checks here are the finite-stage facts that make the truncation tower
 useful: distances never grow under projection, distinct words over
 depth-limited points stay uniformly separated, and any two distinct words
-are told apart by some finite truncation level.
+are told apart by some finite truncation level.  The distance suites norm
+each distinct product once, on a letter-cost table kept for the whole
+call, through graevmetric.cost_dp, the integer kernel under the DP.
 """
 
 from __future__ import annotations
@@ -12,19 +14,19 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .freegroup import (
-    IDENTITY_WORD,
     Letter,
     Point,
     Rat,
     ReducedWord,
     Word,
+    first_difference,
     format_letter,
     format_rat,
     format_word,
     letter_distance,
     reduce_word,
 )
-from .graevmetric import graev_norm_dp
+from .graevmetric import cost_dp
 from .matching import Match
 from .reports import CheckCase, VerificationReport
 from .scales import Scale, norm_theta
@@ -82,14 +84,19 @@ def check_lipschitz_witness(w_star: Word, theta: Match, scale: Scale, n: Level) 
 
 class _ProductNorms:
     """Two-sided distances for the word pairs of one suite call, each
-    distinct product u^{-1}v or uv^{-1} normed once.  Letters are numbered
-    as they come, a letter 2k and its inverse 2k + 1, so words are int
-    tuples and inverting a letter flips the low bit."""
+    distinct product u^{-1}v or uv^{-1} normed once by graevmetric.cost_dp.
+    Letters are numbered as they come, a letter 2k and its inverse 2k + 1,
+    so words are int tuples and inverting a letter flips the low bit.
+    Every word is numbered before the first distance, which fixes the unit
+    2^-depth, depth the deepest letter numbered: norms are ints in that unit,
+    and each letter pair's cost is computed once per call."""
 
     def __init__(self) -> None:
         self.ids: dict[Letter, int] = {}
         self.letters: list[Letter] = []
-        self.norms: dict[tuple[int, ...], Rat] = {}
+        self.top = 0  # set by the first distance
+        self.costs: dict[tuple[int, int], int] = {}  # (x_i^-1, x_j) -> d(x_i^-1, x_j)
+        self.norms: dict[tuple[int, ...], int] = {}
 
     def sides(self, w: ReducedWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The reduced word w and its inverse, numbered."""
@@ -99,6 +106,8 @@ class _ProductNorms:
                 continue
             i = self.ids.get(x)
             if i is None:
+                if self.top:
+                    raise AssertionError("a letter was numbered after the first distance")
                 y = x.inverse()
                 i = self.ids[x] = len(self.letters)
                 self.ids[y] = i + 1
@@ -108,9 +117,11 @@ class _ProductNorms:
 
     def bidistance(self, u: tuple, v: tuple) -> Rat:
         """graev_bidistance of the words with these sides."""
-        return self._norm(u[1], v[0]) + self._norm(u[0], v[1])
+        if not self.top:
+            self.top = 1 << max((x.point.depth for x in self.letters), default=0)
+        return Rat(self._norm(u[1], v[0]) + self._norm(u[0], v[1]), self.top)
 
-    def _norm(self, a: tuple[int, ...], b: tuple[int, ...]) -> Rat:
+    def _norm(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         # both are reduced, so only letters meeting at the seam cancel
         k, m = 0, min(len(a), len(b))
         while k < m and a[-1 - k] ^ 1 == b[k]:
@@ -118,9 +129,29 @@ class _ProductNorms:
         key = a[: len(a) - k] + b[k:]
         value = self.norms.get(key)
         if value is None:
-            product = Word(tuple(self.letters[i] for i in key)) if key else IDENTITY_WORD
-            value = self.norms[key] = graev_norm_dp(product)
+            value = self.norms[key] = self._dp(key) if key else 0
         return value
+
+    def _dp(self, key: tuple[int, ...]) -> int:
+        # no identity letters, so every letter alone costs the whole unit
+        top, costs, letters = self.top, self.costs, self.letters
+        pair = []
+        for i, x in enumerate(key):
+            x ^= 1  # row i pairs x_i^-1 with each later letter
+            row = [0] * (i + 1)
+            for y in key[i + 1 :]:
+                cost = costs.get((x, y))
+                if cost is None:  # letter_distance in units of 1 / top
+                    p, q = letters[x], letters[y]
+                    if p.sign != q.sign:
+                        cost = top
+                    else:
+                        k = first_difference(p.point, q.point)
+                        cost = 0 if k is None else top >> k
+                    costs[x, y] = cost
+                row.append(cost)
+            pair.append(row)
+        return cost_dp([top] * len(key), pair)[0]
 
 
 def check_lipschitz_distance(u: ReducedWord, v: ReducedWord, n: Level) -> CheckCase:
@@ -144,6 +175,7 @@ def check_lipschitz(n: Level, pairs: Iterable[tuple[Word, Word]]) -> Verificatio
             if id(w) not in prepared:  # its text, its sides, its projection's sides
                 sides = norms.sides(reduce_word(w))
                 prepared[id(w)] = format_word(w), sides, norms.sides(project_word(w, n))
+    for u, v in pairs:
         u_text, u_sides, u_projected = prepared[id(u)]
         v_text, v_sides, v_projected = prepared[id(v)]
         lhs = norms.bidistance(u_projected, v_projected)

@@ -201,6 +201,37 @@ def test_over_long_coordinates_exit_3_naming_the_column(capsys, tmp_path):
     assert err.startswith("error: line 2: the natural number at column 8 has more than")
 
 
+def test_over_long_scale_file_entries_exit_3_naming_the_line(capsys, tmp_path):
+    digits = sys.get_int_max_str_digits()
+    at_limit = tmp_path / "at-limit.scale"
+    at_limit.write_text(f"{'1' * digits} = 1/{'1' * digits}\n")
+    code, out, _ = run(capsys, "norm", "--scale", f"file:{at_limit}", "--budget", "0", "[1]")
+    assert (code, out) == (0, "lower 1/1 upper 1/1\n")
+    long = "1" * (digits + 1)
+    limit = (
+        f"has more than {digits} digits, the interpreter's int-to-str limit; "
+        "raise PYTHONINTMAXSTRDIGITS\n"
+    )
+    for what, text in (
+        ("coordinate index", f"0 = 1/2\n{long} = 1/2\n"),
+        ("coefficient", f"0 = 1/2\n# a comment\n1 = 1/{long}\n"),
+        ("coefficient", f"1 = {long}.5\n"),
+    ):
+        path = tmp_path / "long.scale"
+        path.write_text(text)
+        line = text.count("\n")
+        for argv in (
+            ("norm", "--scale", f"file:{path}", "--budget", "0", "[1]"),
+            ("verify", "--suite", "scale-axioms", "--scale", f"file:{path}"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err == f"error: {path}:{line}: the {what} {limit}"
+    path.write_text(f"x{'1' * digits} = 1/2\n")  # malformed, not over-long: still exit 2
+    code, _, err = run(capsys, "norm", "--scale", f"file:{path}", "--budget", "0", "[1]")
+    assert code == 2 and err.startswith(f"error: {path}:1: invalid literal for int()")
+
+
 def test_missing_corpus_file_exits_2(capsys):
     code, _, err = run(
         capsys, "verify", "--suite", "discreteness", "--corpus", "/nonexistent/c.txt"

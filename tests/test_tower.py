@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from graev.freegroup import (
+    IDENTITY,
     IDENTITY_WORD,
     Letter,
     Point,
@@ -22,6 +23,7 @@ from graev.reports import CheckCase, VerificationReport
 from graev.sampling import exhaustive_reduced_words, sample_match, sample_reduced_word
 from graev.scales import TRIVIAL_SCALE, weighted_scale
 from graev.tower import (
+    _ProductNorms,
     check_discreteness,
     check_extension_conditions,
     check_lipschitz,
@@ -250,6 +252,35 @@ def test_memoised_suites_equal_pair_by_pair_reports():
         assert check_lipschitz(n, pairs).to_json() == _lipschitz_by_pairs(n, pairs).to_json()
         for u, v in pairs[:40]:
             assert check_lipschitz_distance(u, v, n) == _lipschitz_by_pairs(n, [(u, v)]).cases[0]
+
+
+def test_suites_at_mixed_depths_equal_pair_by_pair_reports():
+    # points of depths 1, 12 and 31 in one call, so the call's unit 2^-31 is
+    # not most products' own unit; the deepest letters come last
+    shallow = [Point((1,)), Point((0,) * 11 + (1,)), Point((0,) * 11 + (2,)), Point((1,) * 12)]
+    deep = [Point((0,) * 30 + (1,)), Point((0,) * 30 + (2,)), Point((1,) * 31)]
+    rng = random.Random(43)
+    words = [sample_reduced_word(rng, shallow, 3, uniform_length=True) for _ in range(14)]
+    words += [Word((IDENTITY,) + w.letters) for w in words[:3]]  # repeats, spelled apart
+    words += [sample_reduced_word(rng, shallow + deep, 3, uniform_length=True) for _ in range(6)]
+    words.append(word(pos(*[0] * 30, 1), neg(*[0] * 30, 2)))
+    assert (
+        check_discreteness(31, words).to_json() == _discreteness_by_pairs(31, words).to_json()
+    )
+    pairs = [(u, v) for i, u in enumerate(words) for v in words[i + 1 : i + 4]]
+    pairs += [(u, Word(u.letters)) for u in words[::5]]  # equal words, distinct objects
+    for n in (0, 1, 12, 30, 31):
+        by_pairs = _lipschitz_by_pairs(n, pairs).to_json()
+        assert check_lipschitz(n, (pair for pair in pairs)).to_json() == by_pairs
+
+
+def test_product_norms_number_every_letter_before_the_first_distance():
+    norms = _ProductNorms()
+    u, v = norms.sides(word(pos(1))), norms.sides(word(pos(2), pos(1)))
+    assert norms.bidistance(u, v) == graev_bidistance(word(pos(1)), word(pos(2), pos(1)))
+    assert norms.sides(word(pos(2), neg(1))) == ((2, 1), (0, 3))  # known letters only
+    with pytest.raises(AssertionError, match="after the first distance"):
+        norms.sides(word(pos(1, 2)))
 
 
 def test_discreteness_rejects_deep_corpus():
