@@ -5,11 +5,11 @@ non-crossing matchings: explicit enumeration (the permanent oracle, capped
 because match counts grow like Motzkin numbers) and a cubic interval
 dynamic program (the uncapped scalable path) that also returns a
 minimizing match.  The enumeration keeps, per interval, the cost of every
-match in enumeration order rather than the matches themselves; the lists
-are freed on return.  Both run on exact integers in units of 2^-max_depth,
-since every letter distance is a multiple of it.  The DP's loop, cost_dp,
-takes the integer cost tables themselves, so the verify suites
-(tower._ProductNorms) feed it from one letter-cost table per call.
+match in enumeration order, not the matches, frees the lists on return and
+unranks only the witness.  Both run on exact integers in units of
+2^-max_depth, since every letter distance is a multiple of it.  The DP's
+loop, cost_dp, takes the integer cost tables themselves, so the verify
+suites (tower._ProductNorms) feed it from one letter-cost table per call.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .freegroup import (
     multiply,
     reduce_word,
 )
-from .matching import Match
+from .matching import Match, unrank_match
 
 DEFAULT_MATCH_CAP = 14
 MATCH_CAP_ENV = "GRAEV_MATCH_CAP"
@@ -88,8 +88,8 @@ def graev_norm_bruteforce(w: Word, cap: int | None = None) -> NormResult:
     order matching.match_maps yields them: a fixed, then a paired with each
     j = a+1..b-1, inside matches outer, outside matches inner.  The minimum
     is taken only over the whole word's list, and ties go to the first
-    minimizer; its index is unranked into the witness with the same lists'
-    lengths as block sizes.  No match is built but the witness.
+    minimizer, whose index matching.unrank_match turns into the witness.
+    No match is built but the witness.
     """
     rw = reduce_word(w)
     n = len(rw)
@@ -109,29 +109,8 @@ def graev_norm_bruteforce(w: Word, cap: int | None = None) -> NormResult:
                 outside, pair_aj = costs[j + 1][b], pair_a[j]
                 block += [pair_aj + ci + co for ci in inner[j] for co in outside]
             here[b] = block
-    top = costs[0][n]
-    best = min(top)
-    mp = list(range(n))
-    pending = [(0, n, top.index(best))]  # (a, b, k): the k-th match of [a, b)
-    while pending:
-        a, b, k = pending.pop()
-        while a < b:
-            size = len(costs[a + 1][b])
-            if k < size:  # a is fixed
-                a += 1
-                continue
-            k -= size
-            for j in range(a + 1, b):
-                outside = len(costs[j + 1][b])
-                size = len(costs[a + 1][j]) * outside
-                if k < size:
-                    break
-                k -= size
-            k_inside, k = divmod(k, outside)
-            mp[a], mp[j] = j, a
-            pending.append((a + 1, j, k_inside))
-            a = j + 1
-    return NormResult(Rat(best, unit), Match(tuple(mp)))
+    best = min(costs[0][n])
+    return NormResult(Rat(best, unit), unrank_match(n, costs[0][n].index(best)))
 
 
 def trivial_norm_dp(w: Word) -> tuple[Rat, list[list[int | None]]]:

@@ -78,47 +78,42 @@ def is_match(candidate: Sequence[int]) -> bool:
     return True
 
 
-# Materialized match lists, keyed by interval length.  Only lengths strictly
-# below the one being streamed are cached, so memory stays one Motzkin number
-# behind the requested size.  Concurrent re-population is harmless.
-_MATCH_LISTS: dict[int, tuple[tuple[int, ...], ...]] = {0: ((),)}
-
-
-def _match_list(n: int) -> tuple[tuple[int, ...], ...]:
-    cached = _MATCH_LISTS.get(n)
-    if cached is None:
-        cached = tuple(_generate(n))
-        _MATCH_LISTS[n] = cached
-    return cached
-
-
-def _generate(n: int) -> Iterator[tuple[int, ...]]:
-    # Canonical order by the fate of index 0: fixed first, then paired with
-    # each j = 1..n-1, recursing on the inside and outside segments.
-    if n == 0:
-        yield ()
-        return
-    for rest in _match_list(n - 1):
+def _generate(n: int, lists: list[tuple[tuple[int, ...], ...]]) -> Iterator[tuple[int, ...]]:
+    # Canonical order by the fate of index 0: fixed first, then paired with each
+    # j = 1..n-1, recursing on the inside and outside segments (lists[m], m < n).
+    for rest in lists[n - 1]:
         yield (0,) + tuple(v + 1 for v in rest)
     for j in range(1, n):
-        outside_list = _match_list(n - 1 - j)
-        for inside in _match_list(j - 1):
+        outside_list = [tuple(v + j + 1 for v in outside) for outside in lists[n - 1 - j]]
+        for inside in lists[j - 1]:
             head = (j,) + tuple(v + 1 for v in inside) + (0,)
             for outside in outside_list:
-                yield head + tuple(v + j + 1 for v in outside)
+                yield head + outside
 
 
 def match_maps(length: int) -> Iterator[tuple[int, ...]]:
-    """Stream every match on {0,...,length-1} as a raw index tuple."""
+    """Stream every match on {0,...,length-1} as a raw index tuple.  The shorter
+    lengths' lists are built on the first next() and die with the generator."""
     if length < 1:
         raise ValueError("match enumeration needs interval length >= 1")
-    return _generate(length)
+    lists = [((),)]
+    for m in range(1, length):
+        lists.append(tuple(_generate(m, lists)))
+    yield from _generate(length, lists)
 
 
 def enumerate_matches(length: int) -> Iterator[Match]:
     """Yield every match on {0,...,length-1} exactly once, in a fixed order."""
     for m in match_maps(length):
         yield Match(m)
+
+
+def _motzkin(length: int) -> Iterator[int]:
+    prev, cur = 0, 1  # M_{-1}, whose coefficient in count_matches' recurrence is 0, and M_0
+    yield cur
+    for n in range(1, length + 1):
+        prev, cur = cur, ((2 * n + 1) * cur + 3 * (n - 1) * prev) // (n + 2)
+        yield cur
 
 
 def count_matches(length: int) -> int:
@@ -131,17 +126,41 @@ def count_matches(length: int) -> int:
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    digits = sys.get_int_max_str_digits()
-    too_long = 10**digits if digits else 0
-    prev, cur = 1, 1
-    for n in range(2, length + 1):
-        prev, cur = cur, ((2 * n + 1) * cur + 3 * (n - 1) * prev) // (n + 2)
-        if too_long and cur >= too_long:
-            raise ResourceLimitError(
-                f"the number of matches of length {length} has more than {digits} "
-                "digits, the interpreter's int-to-str limit; raise PYTHONINTMAXSTRDIGITS"
-            )
+    digits, too_long = sys.get_int_max_str_digits(), 0
+    for cur in _motzkin(length):
+        # 10**digits has over 3.32 * digits bits: built once, when a term needs it
+        if digits and cur.bit_length() > 3 * digits:
+            too_long = too_long or 10**digits
+            if cur >= too_long:
+                raise ResourceLimitError(
+                    f"the number of matches of length {length} has more than {digits} "
+                    "digits, the interpreter's int-to-str limit; raise PYTHONINTMAXSTRDIGITS"
+                )
     return cur
+
+
+def unrank_match(length: int, index: int) -> Match:
+    """The index-th match on {0,...,length-1} in match_maps order, listing none: [a, b)
+    has M_{b-a-1} with a fixed, then per partner j M_{j-a-1} inside x M_{b-j-1} outside."""
+    sizes = list(_motzkin(length))  # sizes[m] = M_m, the matches of a length-m interval
+    if not 0 <= index < sizes[length]:
+        raise ValueError(f"match index {index} is not in [0, M_{length}) = [0, {sizes[length]})")
+    mp = list(range(length))
+    pending = [(0, length, index)]  # (a, b, k): the k-th match of [a, b)
+    while pending:
+        a, b, k = pending.pop()
+        while a < b:
+            for j in range(a, b):  # j = a: a is fixed, with an empty inside
+                outside = sizes[b - j - 1]
+                size = (sizes[j - a - 1] if j > a else 1) * outside
+                if k < size:
+                    break
+                k -= size
+            k_inside, k = divmod(k, outside)
+            mp[a], mp[j] = j, a
+            pending.append((a + 1, j, k_inside))
+            a = j + 1
+    return Match(tuple(mp))
 
 
 def apply_match(w: Word, theta: Match) -> Word:

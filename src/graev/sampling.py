@@ -15,7 +15,7 @@ from typing import Sequence
 from .errors import ResourceLimitError
 from .freegroup import IDENTITY_WORD, Letter, Point, Word
 from .graevmetric import MATCH_CAP_ENV, enumeration_cap
-from .matching import Match, match_maps
+from .matching import Match, count_matches, unrank_match
 
 
 def exhaustive_reduced_words(points: Sequence[Point], max_len: int) -> list[Word]:
@@ -99,13 +99,15 @@ def sample_distinct_pairs(
 
 
 def sample_match(rng: random.Random, length: int) -> Match:
-    """Uniform draw from all matches on {0,...,length-1}, all materialized,
-    so lengths above the match enumeration cap are refused."""
+    """Uniform draw from all matches on {0,...,length-1}: the index rng.choice
+    over the listed matches would draw, unranked, so no match list is built.
+    Lengths above the match enumeration cap are refused."""
+    if length < 1:
+        raise ValueError("match sampling needs interval length >= 1")
     cap = enumeration_cap()
     if length > cap:
         raise ResourceLimitError(
             f"sampling a match of length {length} is above the match enumeration cap "
             f"{cap}; set {MATCH_CAP_ENV} to raise it"
         )
-    maps = tuple(match_maps(length))
-    return Match(rng.choice(maps))
+    return unrank_match(length, rng.randrange(count_matches(length)))

@@ -89,6 +89,19 @@ def test_sample_match_refuses_lengths_above_cap(monkeypatch):
     assert is_match(sample_match(rng, 4).map)
 
 
+def test_sample_match_equals_listed_draw():
+    # The reference is the draw read literally, rng.choice over every listed
+    # match.  Same matches and same generator state, so every seeded stream
+    # built on sample_match (tower, scales, acceptance) stays as it was.
+    listed = {n: tuple(match_maps(n)) for n in range(1, 13)}
+    for seed in range(200):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for i in range(30):
+            n = 1 + (seed + i) % 12
+            assert sample_match(ours, n).map == reference.choice(listed[n])
+        assert ours.getstate() == reference.getstate(), seed
+
+
 def test_distance_examples():
     u = word(pos(1, 2))
     assert graev_distance(u, u) == 0

@@ -14,7 +14,9 @@ from graev.matching import (
     enumerate_matches,
     is_match,
     match_from_choices,
+    match_maps,
     rho,
+    unrank_match,
 )
 
 from conftest import involutions
@@ -168,6 +170,16 @@ def test_enumerate_rejects_empty_interval():
 
 def test_single_position_has_one_match():
     assert [m.map for m in enumerate_matches(1)] == [(0,)]
+
+
+def test_unrank_match_follows_enumeration_order():
+    assert unrank_match(0, 0) == Match(())
+    for n in range(1, 12):
+        listed = list(match_maps(n))
+        assert [unrank_match(n, k).map for k in range(len(listed))] == listed, n
+    for index in (-1, MOTZKIN[5]):
+        with pytest.raises(ValueError, match="not in"):
+            unrank_match(5, index)
 
 
 # --- apply_match and rho -------------------------------------------------------
