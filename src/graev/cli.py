@@ -44,6 +44,7 @@ from .scales import (
     weighted_scale,
 )
 from .tower import (
+    check_bound_digits,
     check_discreteness,
     check_extension_conditions,
     check_lipschitz,
@@ -218,9 +219,10 @@ def _cmd_seplevel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_or_default_corpus(args: argparse.Namespace, points: list[Point]) -> list[Word]:
+def _load_or_default_corpus(args: argparse.Namespace, level: int) -> list[Word]:
     if args.corpus is not None:
         return parse_corpus(args.corpus)
+    points = _default_points(level)
     if args.cases:
         rng = random.Random(args.seed)
         return sample_corpus(rng, points, args.cases, args.max_len)
@@ -231,17 +233,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cases < 0:
         raise ValueError(f"--cases must be >= 0, got {args.cases}")
     if args.suite == "discreteness":
-        points = _default_points(args.level)
-        corpus = _load_or_default_corpus(args, points)
+        if args.corpus is None:  # the default points are level deep
+            check_bound_digits(args.level)
+        corpus = _load_or_default_corpus(args, args.level)
         report = check_discreteness(args.level, corpus)
         report.parameters["source"] = args.corpus or ("random" if args.cases else "exhaustive")
     elif args.suite == "lipschitz":
-        points = _default_points(args.level + 1)
         if args.corpus is None and args.cases:
             rng = random.Random(args.seed)
+            points = _default_points(args.level + 1)
             pairs = sample_distinct_pairs(rng, points, args.cases, args.max_len)
         else:
-            corpus = _load_or_default_corpus(args, points)
+            corpus = _load_or_default_corpus(args, args.level + 1)
             pairs = [(u, v) for i, u in enumerate(corpus) for v in corpus[i + 1 :]]
         report = check_lipschitz(args.level, pairs)
     elif args.suite == "extension":

@@ -10,12 +10,11 @@ rationals; there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .errors import ResourceLimitError
+from .errors import digit_limit_error
 
 Rat = Fraction
 
@@ -33,8 +32,11 @@ class Point:
         coords = tuple(self.coords)
         if any(c < 0 for c in coords):
             raise ValueError(f"point coordinates must be naturals, got {coords}")
-        while coords and coords[-1] == 0:
-            coords = coords[:-1]
+        if coords and coords[-1] == 0:
+            end = len(coords) - 1
+            while end and coords[end - 1] == 0:
+                end -= 1
+            coords = coords[:end]
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -204,11 +206,7 @@ def _parse_nat(text: str, i: int) -> tuple[int, int]:
     try:
         return int(text[start:i]), i
     except ValueError:  # decimal digits fail int() only above the digit limit
-        raise ResourceLimitError(
-            f"the natural number at column {start + 1} has more than "
-            f"{sys.get_int_max_str_digits()} digits, the interpreter's int-to-str limit; "
-            "raise PYTHONINTMAXSTRDIGITS"
-        ) from None
+        raise digit_limit_error(f"the natural number at column {start + 1}") from None
 
 
 def _parse_point(text: str, i: int) -> tuple[tuple[int, ...], int]:
@@ -284,13 +282,9 @@ def format_rat(r: Rat) -> str:
     """Exact rational as "p/q" (q = 1 printed as "p/1").
 
     A numerator or denominator with more decimal digits than the
-    interpreter converts (sys.get_int_max_str_digits()) raises
-    ResourceLimitError naming that limit.
+    interpreter converts raises errors.digit_limit_error.
     """
     try:
         return f"{r.numerator}/{r.denominator}"
     except ValueError:
-        raise ResourceLimitError(
-            f"a rational has more than {sys.get_int_max_str_digits()} digits, the "
-            "interpreter's int-to-str limit; raise PYTHONINTMAXSTRDIGITS"
-        ) from None
+        raise digit_limit_error("a rational") from None

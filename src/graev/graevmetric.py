@@ -80,7 +80,7 @@ def _unit_costs(w: Word) -> tuple[int, list[int], list[list[int]]]:
     return top, fix, pair
 
 
-def graev_norm_bruteforce(w: Word, cap: int | None = None) -> NormResult:
+def graev_norm_bruteforce(w: Word) -> NormResult:
     """Minimize the rewrite cost over every match, by enumeration.
 
     The input is reduced first and costs come from the same integer table
@@ -93,7 +93,7 @@ def graev_norm_bruteforce(w: Word, cap: int | None = None) -> NormResult:
     """
     rw = reduce_word(w)
     n = len(rw)
-    limit = enumeration_cap() if cap is None else cap
+    limit = enumeration_cap()
     if n > limit:
         raise ResourceLimitError(
             f"reduced word has length {n}, above the match enumeration cap {limit}; "

@@ -8,11 +8,10 @@ Matches over a sub-interval are always re-indexed to start at 0.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import ResourceLimitError
+from .errors import digit_limit, digit_limit_error
 from .freegroup import IDENTITY, Rat, Word, ZERO, letter_distance
 
 
@@ -120,22 +119,19 @@ def count_matches(length: int) -> int:
     """Motzkin number M_length by the exact three-term recurrence
     (n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2}, from M_0 = M_1 = 1.
 
-    Raises ResourceLimitError once a term has more decimal digits than the
-    interpreter converts (sys.get_int_max_str_digits(), 0 for no limit):
-    the sequence never decreases, so M_length could not be printed either.
+    Raises errors.digit_limit_error once a term has more decimal digits than
+    the interpreter converts (digit_limit(), 0 for no limit): the sequence
+    never decreases, so M_length could not be printed either.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    digits, too_long = sys.get_int_max_str_digits(), 0
+    digits, too_long = digit_limit(), 0
     for cur in _motzkin(length):
         # 10**digits has over 3.32 * digits bits: built once, when a term needs it
         if digits and cur.bit_length() > 3 * digits:
             too_long = too_long or 10**digits
             if cur >= too_long:
-                raise ResourceLimitError(
-                    f"the number of matches of length {length} has more than {digits} "
-                    "digits, the interpreter's int-to-str limit; raise PYTHONINTMAXSTRDIGITS"
-                )
+                raise digit_limit_error(f"the number of matches of length {length}")
     return cur
 
 

@@ -11,7 +11,6 @@ _RELATIONS = {
     "==": operator.eq,
     "<=": operator.le,
     ">=": operator.ge,
-    "<": operator.lt,
     ">": operator.gt,
 }
 

@@ -17,12 +17,11 @@ scales declared dominating.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, digit_limit, digit_limit_error
 from .freegroup import (
     IDENTITY,
     Letter,
@@ -63,22 +62,16 @@ TRIVIAL_SCALE = Scale(
 )
 
 
-def weighted_scale(
-    coefficients: Sequence[Rat] | Mapping[int, Rat] | None = None, name: str = "weighted"
-) -> Scale:
+def weighted_scale(coefficients: Mapping[int, Rat] | None = None, name: str = "weighted") -> Scale:
     """Scale multiplying by 1 + sum_k x(k)*c_k; inverse-symmetric, regular
     and dominating for nonnegative coefficients (coordinates are naturals,
-    so the factor is then at least 1).  Coefficients are a sequence c_0,
-    c_1, ... or a sparse map k -> c_k (unlisted k get 0).  Default
-    coefficients are 4^{-(k+1)}."""
+    so the factor is then at least 1).  Coefficients are a sparse map
+    k -> c_k (unlisted k get 0).  Default coefficients are 4^{-(k+1)}."""
     if coefficients is None:
         coefficient = lambda k: Rat(1, 4 ** (k + 1))
         dominating = True
     else:
-        items = (
-            coefficients.items() if isinstance(coefficients, Mapping) else enumerate(coefficients)
-        )
-        coeffs = {k: Rat(c) for k, c in items}
+        coeffs = {k: Rat(c) for k, c in coefficients.items()}
         coefficient = lambda k: coeffs.get(k, ZERO)
         dominating = all(c >= 0 for c in coeffs.values())
     weights: dict[Point, Rat] = {}
@@ -128,19 +121,24 @@ def load_scale_file(path: str) -> Scale:
     return weighted_scale(entries, name=f"file:{path}")
 
 
+_EXPONENT = re.compile(r"[-+]?(?=\.?\d)[\d_]*\.?[\d_]*[eE][-+]?(\d[\d_]*)")
+
+
 def _file_number(
     convert: Callable[[str], int | Rat], text: str, where: str, what: str
 ) -> int | Rat:
+    limit = digit_limit()
+    exponent = convert is Rat and _EXPONENT.fullmatch(text)
+    if limit and exponent:  # Fraction builds 10**exponent: 13 s at 10**7
+        digits = exponent[1].replace("_", "")  # longer ones fail to convert, below
+        if len(digits) <= limit and int(digits) > limit:
+            raise digit_limit_error(f"{where}: the {what}'s power of ten")
     try:
         return convert(text)
     except (ValueError, ZeroDivisionError) as exc:
         # a run of more decimal digits than the limit never converts
-        limit = sys.get_int_max_str_digits()
         if limit and any(len(run) > limit for run in re.findall(r"\d+", text.replace("_", ""))):
-            raise ResourceLimitError(
-                f"{where}: the {what} has more than {limit} digits, the interpreter's "
-                "int-to-str limit; raise PYTHONINTMAXSTRDIGITS"
-            ) from None
+            raise digit_limit_error(f"{where}: the {what}") from None
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -315,16 +313,12 @@ def norm_bounds(
 
 
 def scale_distance_bounds(
-    u: ReducedWord,
-    v: ReducedWord,
-    scale: Scale,
-    budget: int,
-    search_cap: int | None = None,
+    u: ReducedWord, v: ReducedWord, scale: Scale, budget: int
 ) -> tuple[BoundedNorm, BoundedNorm]:
     """Bounds for the one-sided distance (norm of u^{-1}v) and for the
     two-sided distance (interval sum with the inverted pair)."""
-    left = norm_bounds(multiply(invert(u), v), scale, budget, search_cap)
-    right = norm_bounds(multiply(u, invert(v)), scale, budget, search_cap)
+    left = norm_bounds(multiply(invert(u), v), scale, budget)
+    right = norm_bounds(multiply(u, invert(v)), scale, budget)
     two_sided = BoundedNorm(left.lower + right.lower, left.upper + right.upper)
     return left, two_sided
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .errors import digit_limit, digit_limit_error
 from .freegroup import (
     Letter,
     Point,
@@ -267,6 +268,15 @@ def separating_level(u: ReducedWord, v: ReducedWord) -> int | None:
     raise AssertionError("distinct reduced words must separate by their max depth")
 
 
+def check_bound_digits(n: Level) -> None:
+    """Raise errors.digit_limit_error when 2^n, the denominator of the bound
+    that check_discreteness prints, has more digits than the interpreter
+    converts, without building 2^n from level 4 * digit_limit() on."""
+    limit = digit_limit()  # 2^n >= 10^limit: never for n <= 3 * limit, always from 4 * limit
+    if limit and n > 3 * limit and (n >= 4 * limit or 1 << n >= 10**limit):
+        raise digit_limit_error("a rational")
+
+
 def check_discreteness(n: Level, corpus: Iterable[ReducedWord]) -> VerificationReport:
     """Every distinct pair of depth-<= n words is at two-sided distance at
     least 2^{-n}; the minimum observed distance and an attaining pair are
@@ -284,6 +294,7 @@ def check_discreteness(n: Level, corpus: Iterable[ReducedWord]) -> VerificationR
         if sides[0] not in distinct:
             distinct[sides[0]] = len(rw), format_word(rw), sides
     rows = sorted(distinct.values())
+    check_bound_digits(n)
     bound = Rat(1, 2**n)
     report = VerificationReport(
         suite="discreteness",

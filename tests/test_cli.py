@@ -232,6 +232,98 @@ def test_over_long_scale_file_entries_exit_3_naming_the_line(capsys, tmp_path):
     assert code == 2 and err.startswith(f"error: {path}:1: invalid literal for int()")
 
 
+def test_scale_file_exponents_above_the_digit_limit_exit_3(capsys, tmp_path):
+    digits = sys.get_int_max_str_digits()
+    path = tmp_path / "exponent.scale"
+    norm = ("norm", "--scale", f"file:{path}", "[1]")
+    axioms = ("verify", "--suite", "scale-axioms", "--scale", f"file:{path}")
+    # at the limit the coefficient converts; only 1e<limit> then prints a
+    # rational too long for the axiom report
+    for head, axioms_code in (("1e", 3), ("1.5e-", 0), ("0e", 0)):
+        path.write_text(f"0 = {head}{digits}\n")
+        assert run(capsys, *norm) == (0, "lower 1/1 upper 1/1\n", "")
+        assert run(capsys, *axioms)[0] == axioms_code
+    too_long = (
+        f"error: {path}:2: the coefficient's power of ten has more than {digits} digits, "
+        "the interpreter's int-to-str limit; raise PYTHONINTMAXSTRDIGITS\n"
+    )
+    for exponent in (f"1e{digits + 1}", f"1.5e-{digits + 1}", f"0e{digits + 1}", "1e100000000"):
+        path.write_text(f"1 = 1/2\n0 = {exponent}\n")
+        for argv in (norm, axioms):
+            start = time.perf_counter()
+            assert run(capsys, *argv) == (3, "", too_long)
+            assert time.perf_counter() - start < 1
+    path.write_text("1e100000000 = 1/2\n")  # an index is an int, which takes no exponent
+    code, _, err = run(capsys, *norm)
+    assert code == 2 and err.startswith(f"error: {path}:1: invalid literal for int()")
+
+
+# sha256 of `verify --suite discreteness --level 14284` stdout, plain and --json,
+# recorded before the bound's digit check: under the default limit of 4,300
+# digits, 2^14284 is the last power of two that prints.
+_LEVEL_14284_DIGESTS = {
+    (): "b3e59d119306ec2df52008860d34d594f0d4f12e2bd9ded0a8c06adecb1cbf16",
+    ("--json",): "c80e47c83c741dfac59a4c946533a83d253762fd0e556bd6b4c4f4e69d374ec6",
+}
+_RATIONAL_TOO_LONG = (
+    "error: a rational has more than 4300 digits, the interpreter's int-to-str limit; "
+    "raise PYTHONINTMAXSTRDIGITS\n"
+)
+
+
+@pytest.fixture
+def default_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_discreteness_bound_at_the_digit_limit(capsys, default_digit_limit):
+    verify = ("verify", "--suite", "discreteness", "--level")
+    for extra, digest in _LEVEL_14284_DIGESTS.items():
+        code, out, err = run(capsys, *verify, "14284", *extra)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        for level in ("14285", "20000000", "1000000000000"):
+            start = time.perf_counter()
+            assert run(capsys, *verify, level, *extra) == (3, "", _RATIONAL_TOO_LONG)
+            assert time.perf_counter() - start < 1
+
+
+def test_huge_levels_keep_corpus_errors_first(capsys, tmp_path, default_digit_limit):
+    corpus = tmp_path / "corpus.txt"
+    verify = ("verify", "--corpus", str(corpus), "--level")
+    start = time.perf_counter()
+    corpus.write_text("[1]\n[2]^-1 [0,3]\n")
+    assert run(capsys, *verify, "1000000000000", "--suite", "lipschitz") == (
+        0,
+        "suite: lipschitz\nseed: 0\nlevel: 1000000000000\npairs: 1\n"
+        "total: 1  passed: 1  failed: 0\n",
+        "",
+    )
+    for level in ("14285", "1000000000000"):
+        assert run(capsys, *verify, level, "--suite", "discreteness") == (
+            3,
+            "",
+            _RATIONAL_TOO_LONG,
+        )
+    corpus.write_text("[1]\n[2\n")
+    for suite in ("discreteness", "lipschitz"):
+        assert run(capsys, *verify, "1000000000000", "--suite", suite) == (
+            2,
+            "",
+            "error: line 2, column 3: expected ',' or ']' at column 3, found 'end of input'\n",
+        )
+    assert time.perf_counter() - start < 1
+    corpus.write_text(f"[1]\n[{'0,' * 14285}1]\n")  # depth 14286
+    code, out, err = run(capsys, *verify, "14285", "--suite", "discreteness")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: corpus word [0,0,") and err.endswith(
+        "1] has depth 14286 > level 14285\n"
+    )
+
+
 def test_missing_corpus_file_exits_2(capsys):
     code, _, err = run(
         capsys, "verify", "--suite", "discreteness", "--corpus", "/nonexistent/c.txt"

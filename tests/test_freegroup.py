@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -51,6 +52,17 @@ def test_point_canonical_form():
     assert Point((1, 2)).depth == 2
     with pytest.raises(ValueError):
         Point((1, -2))
+
+
+def test_long_runs_of_trailing_zeros_strip_in_linear_time():
+    zeros = 200_000
+    start = time.perf_counter()
+    w = parse_word(f"[3,{'0,' * zeros}0]^-1 [{'0,' * zeros}0]")
+    assert w == word(neg(3), pos())
+    point = Point((3,) + (0,) * zeros + (4,))
+    assert point.truncate(zeros + 1) == Point((3,))
+    assert point.truncate(zeros + 2) == point
+    assert time.perf_counter() - start < 2
 
 
 def test_letter_validation():

@@ -191,7 +191,7 @@ def factor_scales(tmp_path):
         "far": "1000000000000 = 5/2\n",
         "huge-denominator": f"0 = 1/{2**61 - 1}\n2 = -5/{2**61 + 3}\n",
     }
-    scales = [WEIGHTED, weighted_scale((F(3, 7), F(5, 11), F(-2, 3)))]
+    scales = [WEIGHTED, weighted_scale({0: F(3, 7), 1: F(5, 11), 2: F(-2, 3)})]
     for name, text in files.items():
         path = tmp_path / f"{name}.scale"
         path.write_text(text)
