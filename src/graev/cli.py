@@ -239,6 +239,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = check_discreteness(args.level, corpus)
         report.parameters["source"] = args.corpus or ("random" if args.cases else "exhaustive")
     elif args.suite == "lipschitz":
+        if args.corpus is None:  # the default points are level + 1 deep
+            check_bound_digits(args.level)
         if args.corpus is None and args.cases:
             rng = random.Random(args.seed)
             points = _default_points(args.level + 1)
@@ -261,7 +263,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown suite {args.suite!r}")
     report.seed = args.seed
     if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True, indent=2))
+        print(report.render_json())
     else:
         print(report.render_text())
     return 0 if report.all_passed else 1

@@ -324,6 +324,38 @@ def test_huge_levels_keep_corpus_errors_first(capsys, tmp_path, default_digit_li
     )
 
 
+def test_lipschitz_default_points_past_the_digit_limit_exit_3(capsys, default_digit_limit):
+    # the default points are level + 1 deep, so their distances print 2^-level
+    verify = ("verify", "--suite", "lipschitz", "--level")
+    for level in ("14285", "20000", "1000000000000"):
+        for extra in ((), ("--json",), ("--cases", "3")):
+            start = time.perf_counter()
+            assert run(capsys, *verify, level, *extra) == (3, "", _RATIONAL_TOO_LONG)
+            assert time.perf_counter() - start < 1
+    code, out, err = run(capsys, *verify, "14284")
+    assert (code, err) == (0, "") and "failed: 0" in out
+
+
+def test_report_digit_limit_exits_name_the_suite_and_case(capsys, tmp_path, default_digit_limit):
+    # 1e4300 converts, but a scale value it multiplies has more than 4,300 digits;
+    # the text names the first failing case that cannot print, the JSON the first case
+    path = tmp_path / "huge.scale"
+    path.write_text("0 = 1e4300\n")
+    axioms = ("verify", "--suite", "scale-axioms", "--scale", f"file:{path}")
+    too_long = _RATIONAL_TOO_LONG.removeprefix("error: ")
+    assert run(capsys, *axioms) == (
+        3,
+        "",
+        "error: suite scale-axioms, case axiom=vanishes-near-zero (consistency) r=1/256 x=[1]: "
+        + too_long,
+    )
+    assert run(capsys, *axioms, "--json") == (
+        3,
+        "",
+        f"error: suite scale-axioms, case axiom=dominates-argument r=1/4 x=[1]: {too_long}",
+    )
+
+
 def test_missing_corpus_file_exits_2(capsys):
     code, _, err = run(
         capsys, "verify", "--suite", "discreteness", "--corpus", "/nonexistent/c.txt"

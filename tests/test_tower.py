@@ -1,8 +1,11 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graev.freegroup import (
     IDENTITY,
@@ -21,7 +24,7 @@ from graev.freegroup import (
 from graev.graevmetric import graev_bidistance
 from graev.reports import CheckCase, VerificationReport
 from graev.sampling import exhaustive_reduced_words, sample_match, sample_reduced_word
-from graev.scales import TRIVIAL_SCALE, weighted_scale
+from graev.scales import TRIVIAL_SCALE, check_scale_axioms, weighted_scale
 from graev.tower import (
     _ProductNorms,
     check_discreteness,
@@ -305,3 +308,59 @@ def test_discreteness_random_level2():
             continue
         assert graev_bidistance(u, v) >= F(1, 4)
         seen += 1
+
+
+# --- JSON rendering ---------------------------------------------------------------------
+
+
+def _dumped(report):
+    # the reference rendering that VerificationReport.render_json writes directly
+    return json.dumps(report.to_json(), sort_keys=True, indent=2)
+
+
+def test_render_json_equals_json_dumps():
+    corpus = exhaustive_reduced_words([Point(()), Point((1,)), Point((0, 2))], 2)
+    letters = [Letter(s, p) for p in DEEP_POINTS for s in (1, -1)]
+    grid, tail = [F(0), F(1, 2), F(1)], [F(1, 64)]
+    # file paths reach the parameters through a scale's name
+    odd = 'dir "quoted"\\back\tslash\n\x00\x1f/\u00e9\u2603\U0001f600.scale'
+    failing = check_scale_axioms(weighted_scale({0: F(-2)}, name=odd), letters, grid, tail)
+    assert not failing.all_passed
+    case = CheckCase.compare({odd: odd, "": "", "b": "\u00e9"}, "<=", F(-7, 3), F(0))
+    reports = [
+        check_discreteness(2, corpus),
+        check_lipschitz(1, itertools.combinations(corpus, 2)),
+        check_extension_conditions(2, WEIGHTED, letters, grid),
+        check_scale_axioms(WEIGHTED, letters, grid, tail),
+        failing,
+        VerificationReport("empty"),
+        VerificationReport("no parameters", cases=[case, CheckCase({}, ">", F(1), F(2), False)]),
+        VerificationReport(odd, parameters={"source": odd, odd: "x"}, seed=-12),
+    ]
+    for report in reports:
+        assert report.render_json() == _dumped(report)
+
+
+_texts = st.text(max_size=6)
+_rats = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**20)
+_cases = st.builds(
+    CheckCase.compare,
+    st.dictionaries(_texts, _texts, max_size=4),
+    st.sampled_from(["==", "<=", ">=", ">"]),
+    _rats,
+    _rats,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(
+        VerificationReport,
+        _texts,
+        st.dictionaries(_texts, _texts, max_size=5),
+        st.lists(_cases, max_size=5),
+        st.integers(),
+    )
+)
+def test_render_json_equals_json_dumps_on_random_reports(report):
+    assert report.render_json() == _dumped(report)
