@@ -25,19 +25,19 @@ from .freegroup import (
     word,
 )
 from .graevmetric import (
-    DEFAULT_MATCH_CAP,
     NormResult,
-    enumeration_cap,
     graev_bidistance,
     graev_distance,
     graev_norm_bruteforce,
     graev_norm_dp,
 )
 from .matching import (
+    DEFAULT_MATCH_CAP,
     Match,
     apply_match,
     count_matches,
     enumerate_matches,
+    enumeration_cap,
     is_match,
     rho,
 )

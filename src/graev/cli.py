@@ -31,8 +31,8 @@ from .freegroup import (
     parse_word,
     reduce_word,
 )
-from .graevmetric import enumeration_cap, graev_norm_bruteforce
-from .matching import count_matches, enumerate_matches
+from .graevmetric import graev_norm_bruteforce
+from .matching import check_enumeration_cap, count_matches, enumerate_matches
 from .sampling import exhaustive_reduced_words, sample_corpus, sample_distinct_pairs
 from .scales import (
     Scale,
@@ -99,8 +99,7 @@ def _resolve_scale(name: str) -> Scale:
 def _default_points(level: int) -> list[Point]:
     if level == 0:
         return [Point(())]
-    points = [Point(()), Point((1,)), Point((0,) * (level - 1) + (2,))]
-    return list(dict.fromkeys(points))
+    return [Point(()), Point((1,)), Point((0,) * (level - 1) + (2,))]
 
 
 def _probe_letters() -> list[Letter]:
@@ -194,12 +193,7 @@ def _cmd_matches(args: argparse.Namespace) -> int:
     if args.count_only:
         print(count_matches(args.length))
         return 0
-    cap = enumeration_cap()
-    if args.length > cap:
-        raise ResourceLimitError(
-            f"listing matches of length {args.length} is above the enumeration cap "
-            f"{cap}; use --count-only or raise GRAEV_MATCH_CAP"
-        )
+    check_enumeration_cap(args.length, "listing matches", ", or use --count-only")
     for m in enumerate_matches(args.length):
         print(m.serialize())
     return 0
@@ -254,13 +248,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = check_extension_conditions(
             args.level, scale, _probe_letters(), _DEFAULT_R_GRID
         )
-    elif args.suite == "scale-axioms":
+    else:  # scale-axioms, the last choice argparse allows
         scale = _resolve_scale(args.scale or "weighted")
         report = check_scale_axioms(
             scale, _probe_letters(), _DEFAULT_R_GRID, _DEFAULT_EPS_TAIL
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown suite {args.suite!r}")
     report.seed = args.seed
     if args.json:
         print(report.render_json())

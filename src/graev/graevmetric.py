@@ -1,56 +1,35 @@
 """The exact Graev norm and metric on free-group words.
 
 Two independent routes compute the same minimum-cost rewriting over
-non-crossing matchings: explicit enumeration (the permanent oracle, capped
-because match counts grow like Motzkin numbers) and a cubic interval
-dynamic program (the uncapped scalable path) that also returns a
-minimizing match.  The enumeration keeps, per interval, the cost of every
-match in enumeration order, not the matches, frees the lists on return and
-unranks only the witness.  Both run on exact integers in units of
-2^-max_depth, since every letter distance is a multiple of it.  The DP's
-loop, cost_dp, takes the integer cost tables themselves, so the verify
+non-crossing matchings: explicit enumeration (the permanent oracle, under
+matching.check_enumeration_cap because match counts grow like Motzkin
+numbers) and a cubic interval dynamic program (the uncapped scalable path)
+that also returns a minimizing match.  The enumeration keeps, per interval,
+the cost of every match in enumeration order, not the matches, frees the
+lists on return and unranks only the witness.  Both run on exact integers in
+units of 2^-max_depth, since every letter distance is a multiple of it.  The
+DP's loop, cost_dp, takes the integer cost tables themselves, so the verify
 suites (tower._ProductNorms) feed it from one letter-cost table per call.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import lcm
 from operator import add
 from typing import Callable
 
-from .errors import ResourceLimitError
 from .freegroup import (
-    IDENTITY,
     Point,
     Rat,
     ReducedWord,
     Word,
     first_difference,
     invert,
-    letter_distance,
     multiply,
     reduce_word,
 )
-from .matching import Match, unrank_match
-
-DEFAULT_MATCH_CAP = 14
-MATCH_CAP_ENV = "GRAEV_MATCH_CAP"
-
-
-def enumeration_cap() -> int:
-    """Active cap on brute-force match enumeration (env override allowed)."""
-    raw = os.environ.get(MATCH_CAP_ENV)
-    if raw is None:
-        return DEFAULT_MATCH_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{MATCH_CAP_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{MATCH_CAP_ENV} must be >= 1, got {value}")
-    return value
+from .matching import Match, check_enumeration_cap, unrank_match
 
 
 @dataclass(frozen=True)
@@ -93,12 +72,7 @@ def graev_norm_bruteforce(w: Word) -> NormResult:
     """
     rw = reduce_word(w)
     n = len(rw)
-    limit = enumeration_cap()
-    if n > limit:
-        raise ResourceLimitError(
-            f"reduced word has length {n}, above the match enumeration cap {limit}; "
-            f"set {MATCH_CAP_ENV} to raise it, or use the dynamic program"
-        )
+    check_enumeration_cap(n, "brute-forcing a reduced word", ", or use the dynamic program")
     unit, fix, pair = _unit_costs(rw)
     costs = [[[0]] * (n + 1) for _ in range(n + 1)]  # costs[a][a] = [0], the empty match
     for a in range(n - 1, -1, -1):
@@ -117,8 +91,6 @@ def trivial_norm_dp(w: Word) -> tuple[Rat, list[list[int | None]]]:
     """Minimum rewrite cost of w as spelled (not reduced), by cost_dp on the
     integer letter distances, and the choices match_from_choices turns into
     a minimizing match."""
-    if len(w) == 1:  # skips the tables, which dominate the many one-letter calls
-        return letter_distance(IDENTITY, w.letters[0]), [[None]]
     unit, fix, pair = _unit_costs(w)
     value, choice = cost_dp(fix, pair)
     return Rat(value, unit), choice
@@ -156,8 +128,6 @@ def scaled_norm_dp(w: Word, factor: Callable[[Point], Rat]) -> tuple[Rat, list[l
     denominators: an interval of length m nests at most floor(m/2) factors, so the
     division by L is exact.  Factors and values may be negative."""
     n = len(w)
-    if n == 1:
-        return letter_distance(IDENTITY, w.letters[0]), [[None]]
     unit, fix, pair = _unit_costs(w)
     factors = [1 if x.point is None else factor(x.point) for x in w.letters]
     den = lcm(*(f.denominator for f in factors))

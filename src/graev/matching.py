@@ -4,15 +4,48 @@ A match pairs some positions of {0,...,l} so that no two arcs cross
 (there are no i < j < theta(i) < theta(j)); fixed points are allowed,
 which is why the counts are Motzkin numbers rather than Catalan numbers.
 Matches over a sub-interval are always re-indexed to start at 0.
+
+This module owns the match order, the Motzkin counts and the enumeration
+cap: check_enumeration_cap is the one test of it, for the brute-force norm,
+the CLI listing and the match sampler alike.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import digit_limit, digit_limit_error
+from .errors import ResourceLimitError, digit_limit, digit_limit_error
 from .freegroup import IDENTITY, Rat, Word, ZERO, letter_distance
+
+DEFAULT_MATCH_CAP = 14
+MATCH_CAP_ENV = "GRAEV_MATCH_CAP"
+
+
+def enumeration_cap() -> int:
+    """Active cap on match enumeration (env override allowed)."""
+    raw = os.environ.get(MATCH_CAP_ENV)
+    if raw is None:
+        return DEFAULT_MATCH_CAP
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{MATCH_CAP_ENV} must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ValueError(f"{MATCH_CAP_ENV} must be >= 1, got {value}")
+    return value
+
+
+def check_enumeration_cap(length: int, what: str, remedy: str = "") -> None:
+    """Raise ResourceLimitError when length is above enumeration_cap(); what
+    names the refused job and remedy, if any, is appended to the message."""
+    cap = enumeration_cap()
+    if length > cap:
+        raise ResourceLimitError(
+            f"{what} of length {length} is above the match enumeration cap {cap}; "
+            f"set {MATCH_CAP_ENV} to raise it{remedy}"
+        )
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .errors import ResourceLimitError
 from .freegroup import IDENTITY_WORD, Letter, Point, Word
-from .graevmetric import MATCH_CAP_ENV, enumeration_cap
-from .matching import Match, count_matches, unrank_match
+from .matching import Match, check_enumeration_cap, count_matches, unrank_match
 
 
 def exhaustive_reduced_words(points: Sequence[Point], max_len: int) -> list[Word]:
@@ -65,22 +63,40 @@ def sample_corpus(
     count: int,
     max_len: int,
 ) -> list[Word]:
-    """count distinct reduced words; raises if the space is too small."""
+    """count distinct reduced words; raises if the space is too small, before
+    any draw when count is above the number of reduced words there are."""
+    failure = (
+        f"could not draw {count} distinct words of length <= {max_len} over {len(points)} points"
+    )
+    # max_len < 1 is left to sample_reduced_word, whose error comes first
+    if max_len >= 1 and count > _reduced_words_up_to(len(set(points)), max_len, count):
+        raise ValueError(failure)
     out: list[Word] = []
     seen: set[tuple[Letter, ...]] = set()
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 200 * count + 1000:
-            raise ValueError(
-                f"could not draw {count} distinct words of length <= {max_len} "
-                f"over {len(points)} points"
-            )
+            raise ValueError(failure)
         w = sample_reduced_word(rng, points, max_len)
         if w.letters not in seen:
             seen.add(w.letters)
             out.append(w)
     return out
+
+
+def _reduced_words_up_to(p: int, max_len: int, enough: int) -> int:
+    """The number of reduced words of length 1..max_len over p points,
+    sum 2p (2p-1)^(k-1), or a partial sum once it reaches enough."""
+    if p <= 1:
+        return 2 * p * max_len
+    total, layer = 0, 2 * p
+    for _ in range(max_len):
+        total += layer
+        if total >= enough:
+            break
+        layer *= 2 * p - 1
+    return total
 
 
 def sample_distinct_pairs(
@@ -104,10 +120,5 @@ def sample_match(rng: random.Random, length: int) -> Match:
     Lengths above the match enumeration cap are refused."""
     if length < 1:
         raise ValueError("match sampling needs interval length >= 1")
-    cap = enumeration_cap()
-    if length > cap:
-        raise ResourceLimitError(
-            f"sampling a match of length {length} is above the match enumeration cap "
-            f"{cap}; set {MATCH_CAP_ENV} to raise it"
-        )
+    check_enumeration_cap(length, "sampling a match")
     return unrank_match(length, rng.randrange(count_matches(length)))

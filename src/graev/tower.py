@@ -257,15 +257,22 @@ def separating_level(u: ReducedWord, v: ReducedWord) -> int | None:
     """Least truncation level at which the two words project to different
     group elements, or None when they are equal.  For distinct words the
     level exists and is at most the maximum point depth (projection at that
-    depth fixes both words)."""
+    depth fixes both words).  Words apart at level n stay apart at n + 1,
+    since project_n = project_n o project_{n+1} and both are homomorphisms,
+    so the separating levels run from the least one up and bisection finds it."""
     ru, rv = reduce_word(u), reduce_word(v)
     if ru == rv:
         return None
-    bound = max(ru.max_depth, rv.max_depth)
-    for n in range(bound + 1):
-        if project_word(ru, n) != project_word(rv, n):
-            return n
-    raise AssertionError("distinct reduced words must separate by their max depth")
+    lo, hi = 0, max(ru.max_depth, rv.max_depth)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if project_word(ru, mid) != project_word(rv, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    if project_word(ru, lo) == project_word(rv, lo):
+        raise AssertionError("distinct reduced words must separate by their max depth")
+    return lo
 
 
 def check_bound_digits(n: Level) -> None:

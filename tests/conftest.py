@@ -21,11 +21,14 @@ DEEP_POINTS = (
 )
 
 
+# random_raw_word's letters: both signs of every DEEP_POINTS point, then the identity.
+RAW_LETTERS = [Letter(s, p) for p in DEEP_POINTS for s in (1, -1)] + [IDENTITY]
+
+
 def random_raw_word(rng: random.Random, length: int) -> Word:
     """Arbitrary word over DEEP_POINTS, identity letters and adjacent
     cancellations allowed."""
-    pool = [Letter(s, p) for p in DEEP_POINTS for s in (1, -1)] + [IDENTITY]
-    return Word(tuple(rng.choice(pool) for _ in range(length)))
+    return Word(tuple(rng.choice(RAW_LETTERS) for _ in range(length)))
 
 
 def involutions(n: int) -> Iterator[tuple[int, ...]]:

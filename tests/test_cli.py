@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import graev.cli
 from graev.cli import CorpusSyntaxError, build_parser, main, parse_corpus
 from graev.freegroup import Letter, Word, format_word, is_reduced, parse_word
+from graev.sampling import sample_corpus
 
 from conftest import ALPHA3, DEEP_POINTS
 
@@ -106,6 +107,15 @@ def test_seplevel_fixtures(capsys):
     assert (code, out) == (0, "equal\n")
 
 
+def test_seplevel_deep_points_bisect(capsys):
+    # two depth-8000 points: projecting at every level is quadratic in the depth,
+    # bisection projects at about 14 levels
+    left, right = (f"[{'0,' * 7999}{k}]" for k in (1, 2))
+    start = time.perf_counter()
+    assert run(capsys, "seplevel", left, right) == (0, "8000\n", "")
+    assert time.perf_counter() - start < 1
+
+
 # --- exit codes ------------------------------------------------------------------
 
 
@@ -132,16 +142,35 @@ def test_help_exits_0(capsys):
 
 def test_enumeration_cap_exits_3(capsys, monkeypatch):
     monkeypatch.setenv("GRAEV_MATCH_CAP", "6")
-    code, _, err = run(capsys, "matches", "--len", "7")
-    assert code == 3
-    assert "cap 6" in err
+    assert run(capsys, "matches", "--len", "7") == (
+        3,
+        "",
+        "error: listing matches of length 7 is above the match enumeration cap 6; "
+        "set GRAEV_MATCH_CAP to raise it, or use --count-only\n",
+    )
     long_word = " ".join(f"[{k}]" for k in range(1, 8))
-    code, _, err = run(capsys, "norm", "--bruteforce", long_word)
-    assert code == 3
-    assert "cap 6" in err
+    assert run(capsys, "norm", "--bruteforce", long_word) == (
+        3,
+        "",
+        "error: brute-forcing a reduced word of length 7 is above the match enumeration "
+        "cap 6; set GRAEV_MATCH_CAP to raise it, or use the dynamic program\n",
+    )
     # DP path stays available; three unit-cost arcs plus one fixed point
     code, out, _ = run(capsys, "norm", long_word)
     assert (code, out) == (0, "4/1\n")
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ("0", "GRAEV_MATCH_CAP must be >= 1, got 0"),
+        ("x", "GRAEV_MATCH_CAP must be an integer, got 'x'"),
+    ],
+)
+def test_unparsable_enumeration_cap_exits_2(capsys, monkeypatch, value, shown):
+    monkeypatch.setenv("GRAEV_MATCH_CAP", value)
+    for argv in (("matches", "--len", "3"), ("norm", "--bruteforce", "[1]")):
+        assert run(capsys, *argv) == (2, "", f"error: {shown}\n"), argv
 
 
 @pytest.mark.parametrize(
@@ -431,6 +460,24 @@ def test_verify_negative_cases_exits_2(capsys, tmp_path):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert "--cases" in err
+
+
+def test_verify_more_cases_than_words_exits_2_at_once(capsys):
+    # level 1: 3 points, 6 + 30 + 150 + 750 = 936 reduced words of length <= 4;
+    # level 0: 1 point, 2 per length, 8 words
+    for level, points, words in (("1", 3, 936), ("0", 1, 8)):
+        for cases in (20000, words + 1):
+            argv = ("verify", "--suite", "discreteness", "--level", level, "--cases", str(cases))
+            start = time.perf_counter()
+            assert run(capsys, *argv) == (
+                2,
+                "",
+                f"error: could not draw {cases} distinct words of length <= 4 "
+                f"over {points} points\n",
+            )
+            assert time.perf_counter() - start < 1
+        corpus = sample_corpus(random.Random(0), graev.cli._default_points(int(level)), words, 4)
+        assert len(set(corpus)) == words
 
 
 # --- verification suites ----------------------------------------------------------------

@@ -83,10 +83,14 @@ def test_enumeration_cap_error_names_cap(monkeypatch):
 
 def test_sample_match_refuses_lengths_above_cap(monkeypatch):
     rng = random.Random(0)
-    monkeypatch.setenv("GRAEV_MATCH_CAP", "4")
-    with pytest.raises(ResourceLimitError, match="cap 4; set GRAEV_MATCH_CAP"):
-        sample_match(rng, 5)
-    assert is_match(sample_match(rng, 4).map)
+    monkeypatch.setenv("GRAEV_MATCH_CAP", "6")
+    with pytest.raises(ResourceLimitError) as refused:
+        sample_match(rng, 7)
+    assert str(refused.value) == (
+        "sampling a match of length 7 is above the match enumeration cap 6; "
+        "set GRAEV_MATCH_CAP to raise it"
+    )
+    assert is_match(sample_match(rng, 6).map)
 
 
 def test_sample_match_equals_listed_draw():

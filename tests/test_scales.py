@@ -39,13 +39,15 @@ from graev.scales import (
     weighted_scale,
 )
 
-from conftest import ALPHA3, DEEP_POINTS, random_raw_word
+from conftest import ALPHA3, DEEP_POINTS, RAW_LETTERS, random_raw_word
 
 WEIGHTED = weighted_scale()
 
 PROBE_LETTERS = [Letter(s, p) for p in DEEP_POINTS for s in (1, -1)]
 R_GRID = [F(0), F(1, 8), F(1, 2), F(1), F(2)]
 EPS_TAIL = [F(1, 64), F(1, 256)]
+# every one-letter word random_raw_word can draw: the n = 1 case of the integer kernels
+ONE_LETTER_WORDS = [Word((x,)) for x in RAW_LETTERS]
 
 
 def broken_scale():
@@ -173,8 +175,8 @@ def test_norm_theta_min_trivial_kernel_equals_generic_dp():
     # the value and pick the same witness
     trivial_copy = Scale("trivial-copy", lambda x, r: r)
     rng = random.Random(29)
-    for _ in range(300):
-        w = random_raw_word(rng, rng.randint(1, 14))
+    random_words = [random_raw_word(rng, rng.randint(1, 14)) for _ in range(300)]
+    for w in ONE_LETTER_WORDS + random_words:
         kernel = norm_theta_min(w, TRIVIAL_SCALE)
         generic = norm_theta_min(w, trivial_copy)
         assert kernel.value == generic.value
@@ -205,8 +207,8 @@ def test_norm_theta_min_factor_kernel_equals_rational_dp(tmp_path):
     rng = random.Random(59)
     for scale in factor_scales(tmp_path):
         callable_only = Scale(scale.name, scale.evaluate)
-        for _ in range(200):
-            w = random_raw_word(rng, rng.randint(1, 12))
+        random_words = [random_raw_word(rng, rng.randint(1, 12)) for _ in range(200)]
+        for w in ONE_LETTER_WORDS + random_words:
             kernel = norm_theta_min(w, scale)
             rational = norm_theta_min(w, callable_only)
             assert kernel.value == rational.value
