@@ -4,12 +4,12 @@ Two independent routes compute the same minimum-cost rewriting over
 non-crossing matchings: explicit enumeration (the permanent oracle, under
 matching.check_enumeration_cap because match counts grow like Motzkin
 numbers) and a cubic interval dynamic program (the uncapped scalable path)
-that also returns a minimizing match.  The enumeration keeps, per interval,
-the cost of every match in enumeration order, not the matches, frees the
-lists on return and unranks only the witness.  Both run on exact integers in
-units of 2^-max_depth, since every letter distance is a multiple of it.  The
-DP's loop, cost_dp, takes the integer cost tables themselves, so the verify
-suites (tower._ProductNorms) feed it from one letter-cost table per call.
+that also returns a minimizing match.  The enumeration takes the cost of
+every match from matching.match_costs, not the matches, and unranks only
+the witness.  Both run on exact integers in units of 2^-max_depth, since
+every letter distance is a multiple of it.  The DP's loop, cost_dp, takes
+the integer cost tables themselves, so bidistances, the verify suites'
+route, feeds it from one letter-cost table per call.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from operator import add
 from typing import Callable
 
 from .freegroup import (
+    Letter,
     Point,
     Rat,
     ReducedWord,
@@ -29,7 +30,7 @@ from .freegroup import (
     multiply,
     reduce_word,
 )
-from .matching import Match, check_enumeration_cap, unrank_match
+from .matching import Match, check_enumeration_cap, match_costs, unrank_match
 
 
 @dataclass(frozen=True)
@@ -63,28 +64,18 @@ def graev_norm_bruteforce(w: Word) -> NormResult:
     """Minimize the rewrite cost over every match, by enumeration.
 
     The input is reduced first and costs come from the same integer table
-    as the DP.  costs[a][b] lists the cost of every match of [a, b) in the
-    order matching.match_maps yields them: a fixed, then a paired with each
-    j = a+1..b-1, inside matches outer, outside matches inner.  The minimum
-    is taken only over the whole word's list, and ties go to the first
-    minimizer, whose index matching.unrank_match turns into the witness.
-    No match is built but the witness.
+    as the DP.  matching.match_costs lists the cost of every match in
+    match_maps order; ties go to the first minimizer, whose index
+    matching.unrank_match turns into the witness.  No match is built but
+    the witness.
     """
     rw = reduce_word(w)
     n = len(rw)
     check_enumeration_cap(n, "brute-forcing a reduced word", ", or use the dynamic program")
     unit, fix, pair = _unit_costs(rw)
-    costs = [[[0]] * (n + 1) for _ in range(n + 1)]  # costs[a][a] = [0], the empty match
-    for a in range(n - 1, -1, -1):
-        here, inner, fix_a, pair_a = costs[a], costs[a + 1], fix[a], pair[a]
-        for b in range(a + 1, n + 1):
-            block = [fix_a + c for c in inner[b]]
-            for j in range(a + 1, b):
-                outside, pair_aj = costs[j + 1][b], pair_a[j]
-                block += [pair_aj + ci + co for ci in inner[j] for co in outside]
-            here[b] = block
-    best = min(costs[0][n])
-    return NormResult(Rat(best, unit), unrank_match(n, costs[0][n].index(best)))
+    costs = match_costs(fix, pair)
+    best = min(costs)
+    return NormResult(Rat(best, unit), unrank_match(n, costs.index(best)))
 
 
 def trivial_norm_dp(w: Word) -> tuple[Rat, list[list[int | None]]]:
@@ -97,8 +88,8 @@ def trivial_norm_dp(w: Word) -> tuple[Rat, list[list[int | None]]]:
 
 
 def cost_dp(fix: list[int], pair: list[list[int]]) -> tuple[int, list[list[int | None]]]:
-    """The integer interval DP under trivial_norm_dp and the verify suites'
-    per-call cost table: fix[i] costs letter i alone, pair[i][j] (i < j)
+    """The integer interval DP under trivial_norm_dp and bidistances' per-call
+    cost table: fix[i] costs letter i alone, pair[i][j] (i < j)
     its pairing with j.  C[i][j] pairs the ends, pair[i][j] + C[i+1][j-1],
     unless a split C[i][k] + C[k+1][j] is strictly cheaper (then the first
     cheapest k), as in scales.norm_theta_min, so both choose the same match."""
@@ -165,3 +156,65 @@ def graev_distance(u: ReducedWord, v: ReducedWord) -> Rat:
 def graev_bidistance(u: ReducedWord, v: ReducedWord) -> Rat:
     """Two-sided metric: distance(u, v) + distance(u^{-1}, v^{-1})."""
     return graev_distance(u, v) + graev_distance(invert(u), invert(v))
+
+
+def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
+    """graev_bidistance of each pair of reduced words, in order, each distinct
+    product u^{-1}v or uv^{-1} normed once by cost_dp.  Every word is numbered
+    first, once per object (keyed by id(): pairs keeps the words alive), a
+    letter 2k and its inverse 2k + 1, so words are int tuples and inverting a
+    letter flips the low bit.  The deepest letter then fixes the unit
+    2^-depth, and each letter pair's cost is computed once per call."""
+    ids: dict[Letter, int] = {}
+    letters: list[Letter] = []
+    sides: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}  # word, inverse
+    for key, w in {id(w): w for uv in pairs for w in uv}.items():
+        numbers = []
+        for x in w.letters:
+            if x.is_identity:
+                continue
+            i = ids.get(x)
+            if i is None:
+                y = x.inverse()
+                i = ids[x] = len(letters)
+                ids[y] = i + 1
+                letters += (x, y)
+            numbers.append(i)
+        sides[key] = tuple(numbers), tuple(i ^ 1 for i in reversed(numbers))
+    top = 1 << max((x.point.depth for x in letters), default=0)
+    costs: dict[tuple[int, int], int] = {}  # (x_i^-1, x_j) -> d(x_i^-1, x_j)
+    norms: dict[tuple[int, ...], int] = {(): 0}
+
+    def norm(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        # both are reduced, so only letters meeting at the seam cancel
+        k, m = 0, min(len(a), len(b))
+        while k < m and a[-1 - k] ^ 1 == b[k]:
+            k += 1
+        key = a[: len(a) - k] + b[k:]
+        value = norms.get(key)
+        if value is not None:
+            return value
+        pair = []  # no identity letters, so every letter alone costs the whole unit
+        for i, x in enumerate(key):
+            x ^= 1  # row i pairs x_i^-1 with each later letter
+            row = [0] * (i + 1)
+            for y in key[i + 1 :]:
+                cost = costs.get((x, y))
+                if cost is None:  # letter_distance in units of 1 / top
+                    p, q = letters[x], letters[y]
+                    if p.sign != q.sign:
+                        cost = top
+                    else:
+                        d = first_difference(p.point, q.point)
+                        cost = 0 if d is None else top >> d
+                    costs[x, y] = cost
+                row.append(cost)
+            pair.append(row)
+        value = norms[key] = cost_dp([top] * len(key), pair)[0]
+        return value
+
+    out = []
+    for u, v in pairs:
+        (u_word, u_inverse), (v_word, v_inverse) = sides[id(u)], sides[id(v)]
+        out.append(Rat(norm(u_inverse, v_word) + norm(u_word, v_inverse), top))
+    return out

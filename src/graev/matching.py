@@ -7,7 +7,8 @@ Matches over a sub-interval are always re-indexed to start at 0.
 
 This module owns the match order, the Motzkin counts and the enumeration
 cap: check_enumeration_cap is the one test of it, for the brute-force norm,
-the CLI listing and the match sampler alike.
+the CLI listing and the match sampler alike, and match_costs lists every
+match's cost in that order for the brute force.
 """
 
 from __future__ import annotations
@@ -190,6 +191,24 @@ def unrank_match(length: int, index: int) -> Match:
             pending.append((a + 1, j, k_inside))
             a = j + 1
     return Match(tuple(mp))
+
+
+def match_costs(fix: Sequence[int], pair: Sequence[Sequence[int]]) -> list[int]:
+    """The cost of every match on {0,...,n-1}, n = len(fix), in match_maps order:
+    index k costs unrank_match(n, k), fix[i] for each fixed i plus pair[i][j]
+    for each arc i < j.  costs[a][b] lists [a, b)'s: a fixed, then a paired
+    with each j = a+1..b-1, inside matches outer, outside matches inner."""
+    n = len(fix)
+    costs = [[[0]] * (n + 1) for _ in range(n + 1)]  # costs[a][a] = [0], the empty match
+    for a in range(n - 1, -1, -1):
+        here, inner, fix_a, pair_a = costs[a], costs[a + 1], fix[a], pair[a]
+        for b in range(a + 1, n + 1):
+            block = [fix_a + c for c in inner[b]]
+            for j in range(a + 1, b):
+                outside, pair_aj = costs[j + 1][b], pair_a[j]
+                block += [pair_aj + ci + co for ci in inner[j] for co in outside]
+            here[b] = block
+    return costs[0][n]
 
 
 def apply_match(w: Word, theta: Match) -> Word:

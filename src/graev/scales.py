@@ -79,7 +79,7 @@ def weighted_scale(coefficients: Mapping[int, Rat] | None = None, name: str = "w
     def weight(p: Point) -> Rat:
         w = weights.get(p)
         if w is None:
-            w = weights[p] = Rat(1) + sum(c * coefficient(k) for k, c in enumerate(p.coords))
+            w = weights[p] = Rat(1) + sum(c * coefficient(k) for k, c in enumerate(p.coords) if c)
         return w
 
     def evaluate(x: Letter, r: Rat) -> Rat:
@@ -239,12 +239,13 @@ def insertion_alphabet(w: Word) -> tuple[Letter, ...]:
     """Letters available for inserted cancelling pairs: the word's letters,
     their inverses, the identity, and coordinate truncations of all of
     those (truncated letters are the natural cheap witnesses under a
-    regular scale)."""
-    out = dict.fromkeys(y for x in w.letters if not x.is_identity for y in (x, x.inverse()))
-    out[IDENTITY] = None
+    regular scale).  A truncation's truncations are the letter's own, so only
+    the word's letters truncate: at 0, after each nonzero coordinate but the last."""
+    signed = dict.fromkeys(y for x in w.letters if not x.is_identity for y in (x, x.inverse()))
+    out = {**signed, IDENTITY: None}
     for m in range(w.max_depth):
-        for x in list(out):
-            if x.point is not None:
+        for x in signed:
+            if m < x.point.depth and (m == 0 or x.point.coords[m - 1]):
                 out[Letter(x.sign, x.point.truncate(m))] = None
     return tuple(out)
 

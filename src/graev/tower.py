@@ -4,13 +4,14 @@ Truncating every point at depth n induces a group homomorphism on words.
 The checks here are the finite-stage facts that make the truncation tower
 useful: distances never grow under projection, distinct words over
 depth-limited points stay uniformly separated, and any two distinct words
-are told apart by some finite truncation level.  The distance suites norm
-each distinct product once, on a letter-cost table kept for the whole
-call, through graevmetric.cost_dp, the integer kernel under the DP.
+are told apart by some finite truncation level.  The distance suites
+prepare each word once and take every distance of the call from one
+graevmetric.bidistances call.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import digit_limit, digit_limit_error
@@ -20,14 +21,13 @@ from .freegroup import (
     Rat,
     ReducedWord,
     Word,
-    first_difference,
     format_letter,
     format_rat,
     format_word,
     letter_distance,
     reduce_word,
 )
-from .graevmetric import cost_dp
+from .graevmetric import bidistances
 from .matching import Match
 from .reports import CheckCase, VerificationReport
 from .scales import Scale, norm_theta
@@ -83,78 +83,6 @@ def check_lipschitz_witness(w_star: Word, theta: Match, scale: Scale, n: Level) 
     )
 
 
-class _ProductNorms:
-    """Two-sided distances for the word pairs of one suite call, each
-    distinct product u^{-1}v or uv^{-1} normed once by graevmetric.cost_dp.
-    Letters are numbered as they come, a letter 2k and its inverse 2k + 1,
-    so words are int tuples and inverting a letter flips the low bit.
-    Every word is numbered before the first distance, which fixes the unit
-    2^-depth, depth the deepest letter numbered: norms are ints in that unit,
-    and each letter pair's cost is computed once per call."""
-
-    def __init__(self) -> None:
-        self.ids: dict[Letter, int] = {}
-        self.letters: list[Letter] = []
-        self.top = 0  # set by the first distance
-        self.costs: dict[tuple[int, int], int] = {}  # (x_i^-1, x_j) -> d(x_i^-1, x_j)
-        self.norms: dict[tuple[int, ...], int] = {}
-
-    def sides(self, w: ReducedWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The reduced word w and its inverse, numbered."""
-        numbers = []
-        for x in w.letters:
-            if x.is_identity:
-                continue
-            i = self.ids.get(x)
-            if i is None:
-                if self.top:
-                    raise AssertionError("a letter was numbered after the first distance")
-                y = x.inverse()
-                i = self.ids[x] = len(self.letters)
-                self.ids[y] = i + 1
-                self.letters += (x, y)
-            numbers.append(i)
-        return tuple(numbers), tuple(i ^ 1 for i in reversed(numbers))
-
-    def bidistance(self, u: tuple, v: tuple) -> Rat:
-        """graev_bidistance of the words with these sides."""
-        if not self.top:
-            self.top = 1 << max((x.point.depth for x in self.letters), default=0)
-        return Rat(self._norm(u[1], v[0]) + self._norm(u[0], v[1]), self.top)
-
-    def _norm(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        # both are reduced, so only letters meeting at the seam cancel
-        k, m = 0, min(len(a), len(b))
-        while k < m and a[-1 - k] ^ 1 == b[k]:
-            k += 1
-        key = a[: len(a) - k] + b[k:]
-        value = self.norms.get(key)
-        if value is None:
-            value = self.norms[key] = self._dp(key) if key else 0
-        return value
-
-    def _dp(self, key: tuple[int, ...]) -> int:
-        # no identity letters, so every letter alone costs the whole unit
-        top, costs, letters = self.top, self.costs, self.letters
-        pair = []
-        for i, x in enumerate(key):
-            x ^= 1  # row i pairs x_i^-1 with each later letter
-            row = [0] * (i + 1)
-            for y in key[i + 1 :]:
-                cost = costs.get((x, y))
-                if cost is None:  # letter_distance in units of 1 / top
-                    p, q = letters[x], letters[y]
-                    if p.sign != q.sign:
-                        cost = top
-                    else:
-                        k = first_difference(p.point, q.point)
-                        cost = 0 if k is None else top >> k
-                    costs[x, y] = cost
-                row.append(cost)
-            pair.append(row)
-        return cost_dp([top] * len(key), pair)[0]
-
-
 def check_lipschitz_distance(u: ReducedWord, v: ReducedWord, n: Level) -> CheckCase:
     """Projection is nonexpansive for the exact two-sided metric."""
     return check_lipschitz(n, [(u, v)]).cases[0]
@@ -170,18 +98,14 @@ def check_lipschitz(n: Level, pairs: Iterable[tuple[Word, Word]]) -> Verificatio
         suite="lipschitz", parameters={"level": str(n), "pairs": str(len(pairs))}
     )
     prepared: dict[int, tuple] = {}  # keyed by id(): pairs keeps every word alive
-    norms = _ProductNorms()
     for u, v in pairs:
         for w in (u, v):
-            if id(w) not in prepared:  # its text, its sides, its projection's sides
-                sides = norms.sides(reduce_word(w))
-                prepared[id(w)] = format_word(w), sides, norms.sides(project_word(w, n))
-    for u, v in pairs:
-        u_text, u_sides, u_projected = prepared[id(u)]
-        v_text, v_sides, v_projected = prepared[id(v)]
-        lhs = norms.bidistance(u_projected, v_projected)
-        rhs = norms.bidistance(u_sides, v_sides)
-        report.add(CheckCase.compare({"u": u_text, "v": v_text, "level": str(n)}, "<=", lhs, rhs))
+            if id(w) not in prepared:  # its text, its reduced form, its projection
+                prepared[id(w)] = format_word(w), reduce_word(w), project_word(w, n)
+    rows = [(prepared[id(u)], prepared[id(v)]) for u, v in pairs]
+    distances = bidistances([(u[2], v[2]) for u, v in rows] + [(u[1], v[1]) for u, v in rows])
+    for (u, v), lhs, rhs in zip(rows, distances, distances[len(rows) :]):
+        report.add(CheckCase.compare({"u": u[0], "v": v[0], "level": str(n)}, "<=", lhs, rhs))
     return report
 
 
@@ -289,18 +213,16 @@ def check_discreteness(n: Level, corpus: Iterable[ReducedWord]) -> VerificationR
     least 2^{-n}; the minimum observed distance and an attaining pair are
     recorded in the report parameters."""
     _check_level(n)
-    norms = _ProductNorms()
-    distinct: dict[tuple[int, ...], tuple] = {}  # keyed by the numbered word
+    distinct: dict[tuple[Letter, ...], tuple] = {}  # keyed by the reduced letters
     for w in corpus:
         rw = reduce_word(w)
         if rw.max_depth > n:
             raise ValueError(
                 f"corpus word {format_word(rw)} has depth {rw.max_depth} > level {n}"
             )
-        sides = norms.sides(rw)
-        if sides[0] not in distinct:
-            distinct[sides[0]] = len(rw), format_word(rw), sides
-    rows = sorted(distinct.values())
+        if rw.letters not in distinct:
+            distinct[rw.letters] = len(rw), format_word(rw), rw
+    rows = sorted(distinct.values())  # by length, then text: texts are unique
     check_bound_digits(n)
     bound = Rat(1, 2**n)
     report = VerificationReport(
@@ -309,13 +231,13 @@ def check_discreteness(n: Level, corpus: Iterable[ReducedWord]) -> VerificationR
     )
     min_seen: Rat | None = None
     min_pair = ("", "")
-    for i, (_, u_text, u_sides) in enumerate(rows):
-        for _, v_text, v_sides in rows[i + 1 :]:
-            d = norms.bidistance(u_sides, v_sides)
-            report.add(CheckCase.compare({"u": u_text, "v": v_text}, ">=", d, bound))
-            if min_seen is None or d < min_seen:
-                min_seen = d
-                min_pair = (u_text, v_text)
+    distances = bidistances([(u[2], v[2]) for u, v in combinations(rows, 2)])
+    for (u, v), d in zip(combinations(rows, 2), distances):
+        u_text, v_text = u[1], v[1]
+        report.add(CheckCase.compare({"u": u_text, "v": v_text}, ">=", d, bound))
+        if min_seen is None or d < min_seen:
+            min_seen = d
+            min_pair = (u_text, v_text)
     if min_seen is not None:
         report.parameters["min-observed"] = format_rat(min_seen)
         report.parameters["attaining-pair"] = f"{min_pair[0]} | {min_pair[1]}"

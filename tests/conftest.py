@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from typing import Iterator
 
 import pytest
@@ -53,3 +54,13 @@ def involutions(n: int) -> Iterator[tuple[int, ...]]:
 @pytest.fixture
 def alpha3() -> tuple[Point, ...]:
     return ALPHA3
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int-to-str digit limit, 4,300, for the test's
+    duration, whatever PYTHONINTMAXSTRDIGITS says; the old limit after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)

@@ -116,6 +116,20 @@ def test_seplevel_deep_points_bisect(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_weighted_norm_of_deep_points_is_fast(capsys):
+    # the insertion alphabet truncates only the word's own letters, once per
+    # nonzero coordinate: re-truncating the whole alphabet at every level took
+    # seconds at these depths
+    for budget, point in (
+        ("1", f"[{'0,' * 7999}2]"),  # depth 8000
+        ("0", f"[{','.join(['1'] * 500)}]"),
+    ):
+        start = time.perf_counter()
+        argv = ("norm", "--scale", "weighted", "--budget", budget, point)
+        assert run(capsys, *argv) == (0, "lower 1/1 upper 1/1\n", "")
+        assert time.perf_counter() - start < 1
+
+
 # --- exit codes ------------------------------------------------------------------
 
 
@@ -191,7 +205,7 @@ def test_invariant_violation_exits_4(capsys, monkeypatch, exc, shown):
     assert err == f"error: internal invariant violation: {shown}\n"
 
 
-def test_count_only_above_the_digit_limit_exits_3(capsys):
+def test_count_only_above_the_digit_limit_exits_3(capsys, default_digit_limit):
     start = time.perf_counter()
     code, out, err = run(capsys, "matches", "--len", "20000", "--count-only")
     assert time.perf_counter() - start < 2
@@ -199,7 +213,7 @@ def test_count_only_above_the_digit_limit_exits_3(capsys):
     assert f"{sys.get_int_max_str_digits()} digits" in err
 
 
-def test_numbers_too_long_to_print_exit_3(capsys):
+def test_numbers_too_long_to_print_exit_3(capsys, default_digit_limit):
     limit = f"{sys.get_int_max_str_digits()} digits"
     code, out, err = run(capsys, "verify", "--suite", "discreteness", "--level", "14300")
     assert (code, out) == (3, "")
@@ -210,7 +224,7 @@ def test_numbers_too_long_to_print_exit_3(capsys):
     assert limit in err
 
 
-def test_over_long_coordinates_exit_3_naming_the_column(capsys, tmp_path):
+def test_over_long_coordinates_exit_3_naming_the_column(capsys, tmp_path, default_digit_limit):
     digits = sys.get_int_max_str_digits()
     code, out, _ = run(capsys, "norm", f"[{'1' * digits}]")
     assert (code, out) == (0, "1/1\n")
@@ -230,7 +244,9 @@ def test_over_long_coordinates_exit_3_naming_the_column(capsys, tmp_path):
     assert err.startswith("error: line 2: the natural number at column 8 has more than")
 
 
-def test_over_long_scale_file_entries_exit_3_naming_the_line(capsys, tmp_path):
+def test_over_long_scale_file_entries_exit_3_naming_the_line(
+    capsys, tmp_path, default_digit_limit
+):
     digits = sys.get_int_max_str_digits()
     at_limit = tmp_path / "at-limit.scale"
     at_limit.write_text(f"{'1' * digits} = 1/{'1' * digits}\n")
@@ -261,7 +277,7 @@ def test_over_long_scale_file_entries_exit_3_naming_the_line(capsys, tmp_path):
     assert code == 2 and err.startswith(f"error: {path}:1: invalid literal for int()")
 
 
-def test_scale_file_exponents_above_the_digit_limit_exit_3(capsys, tmp_path):
+def test_scale_file_exponents_above_the_digit_limit_exit_3(capsys, tmp_path, default_digit_limit):
     digits = sys.get_int_max_str_digits()
     path = tmp_path / "exponent.scale"
     norm = ("norm", "--scale", f"file:{path}", "[1]")
@@ -298,14 +314,6 @@ _RATIONAL_TOO_LONG = (
     "error: a rational has more than 4300 digits, the interpreter's int-to-str limit; "
     "raise PYTHONINTMAXSTRDIGITS\n"
 )
-
-
-@pytest.fixture
-def default_digit_limit():
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(limit)
 
 
 def test_discreteness_bound_at_the_digit_limit(capsys, default_digit_limit):

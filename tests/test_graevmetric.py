@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from graev.errors import ResourceLimitError
 from graev.freegroup import (
+    IDENTITY,
     IDENTITY_WORD,
     Letter,
     Point,
@@ -21,6 +22,7 @@ from graev.freegroup import (
     word,
 )
 from graev.graevmetric import (
+    bidistances,
     graev_bidistance,
     graev_distance,
     graev_norm_bruteforce,
@@ -164,6 +166,19 @@ def test_discreteness_depth_two():
         v = sample_reduced_word(rng, pts, 3)
         if u != v:
             assert graev_bidistance(u, v) >= F(1, 4)
+
+
+def test_bidistances_equal_graev_bidistance():
+    # identity words, equal words held as distinct objects, repeated objects,
+    # and the deepest letters only in the last pair, which fix the call's unit
+    rng = random.Random(53)
+    words = [sample_reduced_word(rng, DEEP_POINTS, 4) for _ in range(12)]
+    words += [IDENTITY_WORD, Word((IDENTITY,))]
+    pairs = [(u, v) for u in words for v in words[::3]]
+    pairs += [(u, Word(u.letters)) for u in words]
+    pairs.append((word(pos(*[0] * 20, 2), neg(1)), word(pos(*[0] * 20, 1), neg(1))))
+    assert bidistances(pairs) == [graev_bidistance(u, v) for u, v in pairs]
+    assert bidistances([]) == []
 
 
 def literal_bruteforce(w):

@@ -13,6 +13,7 @@ from graev.matching import (
     count_matches,
     enumerate_matches,
     is_match,
+    match_costs,
     match_from_choices,
     match_maps,
     rho,
@@ -123,7 +124,7 @@ def test_count_matches_equals_convolution():
     assert [count_matches(n) for n in range(1001)] == reference
 
 
-def test_count_matches_stops_at_the_int_to_str_limit():
+def test_count_matches_stops_at_the_int_to_str_limit(default_digit_limit):
     limit = sys.get_int_max_str_digits()
     assert limit > 0
     try:  # the last printable length, found with the limit lifted
@@ -180,6 +181,21 @@ def test_unrank_match_follows_enumeration_order():
     for index in (-1, MOTZKIN[5]):
         with pytest.raises(ValueError, match="not in"):
             unrank_match(5, index)
+
+
+def test_match_costs_follow_enumeration_order():
+    # every match's cost, index by index, on int tables with many ties
+    rng = random.Random(47)
+    assert match_costs([], []) == [0]
+    for n in range(1, 10):
+        for _ in range(3):
+            fix = [rng.randint(0, 2) for _ in range(n)]
+            pair = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
+            listed = [
+                sum(fix[i] if t == i else pair[i][t] for i, t in enumerate(mp) if t >= i)
+                for mp in match_maps(n)
+            ]
+            assert match_costs(fix, pair) == listed, n
 
 
 # --- apply_match and rho -------------------------------------------------------

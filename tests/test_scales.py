@@ -396,6 +396,32 @@ def test_insertion_alphabet_contents():
     assert len(alphabet) == len(set(alphabet))
 
 
+def literal_insertion_alphabet(w):
+    """The alphabet built literally: every letter so far truncated at every
+    level below the word's depth, truncations included.  The reference for
+    insertion_alphabet, order included."""
+    out = dict.fromkeys(y for x in w.letters if not x.is_identity for y in (x, x.inverse()))
+    out[IDENTITY] = None
+    for m in range(w.max_depth):
+        for x in list(out):
+            if x.point is not None:
+                out[Letter(x.sign, x.point.truncate(m))] = None
+    return tuple(out)
+
+
+def test_insertion_alphabet_equals_literal_truncations():
+    # identity letters, repeated letters and interior zeros
+    rng = random.Random(59)
+    points = [
+        Point(tuple(rng.choice((0, 0, 1, 2)) for _ in range(rng.randint(0, 7))))
+        for _ in range(12)
+    ]
+    letters = [Letter(s, p) for p in points for s in (1, -1)] + [IDENTITY]
+    for _ in range(300):
+        w = Word(tuple(rng.choice(letters) for _ in range(rng.randint(1, 6))))
+        assert insertion_alphabet(w) == literal_insertion_alphabet(w), w
+
+
 def test_conjugated_upper_bound_uses_lifted_witness():
     # when conjugation does not cancel at the junctions, the insertion
     # search sees the lifted spelling, so the certified upper bound is at

@@ -26,7 +26,6 @@ from graev.reports import CheckCase, VerificationReport
 from graev.sampling import exhaustive_reduced_words, sample_match, sample_reduced_word
 from graev.scales import TRIVIAL_SCALE, check_scale_axioms, weighted_scale
 from graev.tower import (
-    _ProductNorms,
     check_discreteness,
     check_extension_conditions,
     check_lipschitz,
@@ -275,15 +274,6 @@ def test_suites_at_mixed_depths_equal_pair_by_pair_reports():
     for n in (0, 1, 12, 30, 31):
         by_pairs = _lipschitz_by_pairs(n, pairs).to_json()
         assert check_lipschitz(n, (pair for pair in pairs)).to_json() == by_pairs
-
-
-def test_product_norms_number_every_letter_before_the_first_distance():
-    norms = _ProductNorms()
-    u, v = norms.sides(word(pos(1))), norms.sides(word(pos(2), pos(1)))
-    assert norms.bidistance(u, v) == graev_bidistance(word(pos(1)), word(pos(2), pos(1)))
-    assert norms.sides(word(pos(2), neg(1))) == ((2, 1), (0, 3))  # known letters only
-    with pytest.raises(AssertionError, match="after the first distance"):
-        norms.sides(word(pos(1, 2)))
 
 
 def test_discreteness_rejects_deep_corpus():
