@@ -339,6 +339,10 @@ def main(argv: list[str] | None = None) -> int:
         message = str(exc).removeprefix("internal invariant violation: ") or type(exc).__name__
         print(f"error: internal invariant violation: {message}", file=sys.stderr)
         return 4
+    except MemoryError:
+        pass  # reported below, once the traceback no longer holds the failed call's tables
+    print("error: out of memory", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

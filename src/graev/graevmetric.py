@@ -88,20 +88,20 @@ def trivial_norm_dp(w: Word) -> tuple[Rat, list[list[int | None]]]:
 
 
 def cost_dp(fix: list[int], pair: list[list[int]]) -> tuple[int, list[list[int | None]]]:
-    """The integer interval DP under trivial_norm_dp and bidistances' per-call
-    cost table: fix[i] costs letter i alone, pair[i][j] (i < j)
-    its pairing with j.  C[i][j] pairs the ends, pair[i][j] + C[i+1][j-1],
-    unless a split C[i][k] + C[k+1][j] is strictly cheaper (then the first
-    cheapest k), as in scales.norm_theta_min, so both choose the same match."""
+    """The integer interval DP under trivial_norm_dp and bidistances' per-call cost table:
+    fix[i] costs letter i alone, pair[i][j] (i < j) its pairing with j.  C[i][j] pairs the
+    ends, pair[i][j] + C[i+1][j-1], unless a split C[i][k] + C[k+1][j] is strictly cheaper
+    (then the first cheapest k), as in scales.norm_theta_min, so both choose the same match.
+    One value matrix: row[i][j] and row[j][i] both hold C[i][j] (i <= j).  At j = i + 1,
+    inner[j - 1] is row[i + 1][i], still 0 (the empty inner interval) until written below."""
     n = len(fix)
-    row = [[0] * n for _ in range(n + 1)]  # row[i][j] = C[i][j], 0 for j < i and i = n
-    col = [[0] * n for _ in range(n)]  # col[j][i] = C[i][j]
+    row = [[0] * n for _ in range(n + 1)]  # row n stays 0, so inner binds at i = n - 1
     choice: list[list[int | None]] = [[None] * n for _ in range(n)]
     for i in range(n - 1, -1, -1):
         here, inner, pair_i, choice_i = row[i], row[i + 1], pair[i], choice[i]
-        here[i] = col[i][i] = fix[i]
+        here[i] = fix[i]
         for j in range(i + 1, n):
-            there = col[j]
+            there = row[j]
             best = pair_i[j] + inner[j - 1]
             splits = list(map(add, here[i:j], there[i + 1 : j + 1]))
             cheapest = min(splits)
@@ -116,8 +116,8 @@ def scaled_norm_dp(w: Word, factor: Callable[[Point], Rat]) -> tuple[Rat, list[l
     """trivial_norm_dp for a multiplicative scale, scale(x, r) = r * factor(x.point) off
     the identity: the ends pay d(x_i^{-1}, x_j) + max(r F_i, r F_j), r the inner value.
     Integers in units of 2^-max_depth * L^-floor(n/2), L the lcm of the factors'
-    denominators: an interval of length m nests at most floor(m/2) factors, so the
-    division by L is exact.  Factors and values may be negative."""
+    denominators: an interval of length m nests at most floor(m/2) factors, so the division
+    by L is exact.  Factors and values may be negative.  One value matrix, as in cost_dp."""
     n = len(w)
     unit, fix, pair = _unit_costs(w)
     factors = [1 if x.point is None else factor(x.point) for x in w.letters]
@@ -125,13 +125,12 @@ def scaled_norm_dp(w: Word, factor: Callable[[Point], Rat]) -> tuple[Rat, list[l
     grow = den ** (n // 2)
     scaled = [f.numerator * (den // f.denominator) for f in factors]  # F_i = factor_i * den
     row = [[0] * n for _ in range(n + 1)]
-    col = [[0] * n for _ in range(n)]
     choice: list[list[int | None]] = [[None] * n for _ in range(n)]
     for i in range(n - 1, -1, -1):
         here, inner, pair_i, choice_i, f_i = row[i], row[i + 1], pair[i], choice[i], scaled[i]
-        here[i] = col[i][i] = fix[i] * grow
+        here[i] = fix[i] * grow
         for j in range(i + 1, n):
-            there, r = col[j], inner[j - 1]
+            there, r = row[j], inner[j - 1]
             best = pair_i[j] * grow + max(r * f_i, r * scaled[j]) // den
             splits = list(map(add, here[i:j], there[i + 1 : j + 1]))
             cheapest = min(splits)

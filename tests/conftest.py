@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 import sys
+from fractions import Fraction as F
 from typing import Iterator
 
 import pytest
 
 from graev.freegroup import IDENTITY, Letter, Point, Word
+from graev.scales import load_scale_file, weighted_scale
 
 # The standard 3-point test alphabet: the zero point and two depth-1 points.
 ALPHA3 = (Point(()), Point((1,)), Point((2,)))
@@ -30,6 +32,24 @@ def random_raw_word(rng: random.Random, length: int) -> Word:
     """Arbitrary word over DEEP_POINTS, identity letters and adjacent
     cancellations allowed."""
     return Word(tuple(rng.choice(RAW_LETTERS) for _ in range(length)))
+
+
+def factor_scales(tmp_path):
+    """Every kind of scale with a factor: weighted and file scales with
+    nonnegative, negative (factors 0 and below 0), non-dyadic, far-index
+    and near-2^61 coefficients."""
+    files = {
+        "nonneg": "0 = 1/4\n2 = 3/8\n",
+        "negative": "0 = -1\n1 = -3\n",
+        "far": "1000000000000 = 5/2\n",
+        "huge-denominator": f"0 = 1/{2**61 - 1}\n2 = -5/{2**61 + 3}\n",
+    }
+    scales = [weighted_scale(), weighted_scale({0: F(3, 7), 1: F(5, 11), 2: F(-2, 3)})]
+    for name, text in files.items():
+        path = tmp_path / f"{name}.scale"
+        path.write_text(text)
+        scales.append(load_scale_file(str(path)))
+    return scales
 
 
 def involutions(n: int) -> Iterator[tuple[int, ...]]:

@@ -927,6 +927,35 @@ def test_import_builds_no_parser():
     assert done.stdout == "0\n"
 
 
+def test_out_of_memory_exits_3_with_one_line():
+    # a 12,000-letter norm and a dist whose product has 12,000 letters, in a
+    # child capped at 400 MB: the letter-cost table alone needs about 1.1 GB
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    cap = 400 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    src = Path(graev.cli.__file__).resolve().parents[1]
+    letters = [f"[{k}]" for k in range(1, 12_001)]
+    for argv in (
+        ["norm", " ".join(letters)],
+        ["dist", " ".join(letters[:6_000]), " ".join(letters[6_000:])],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "graev.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            preexec_fn=limit,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: out of memory\n")
+        assert "Traceback" not in done.stderr
+
+
 @given(st.lists(st.one_of(_texts, _texts.map(lambda t: t + "  # comment"))))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_parse_corpus_fuzz(lines):

@@ -1,6 +1,8 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -22,16 +24,19 @@ from graev.freegroup import (
     word,
 )
 from graev.graevmetric import (
+    _unit_costs,
     bidistances,
+    cost_dp,
     graev_bidistance,
     graev_distance,
     graev_norm_bruteforce,
     graev_norm_dp,
+    scaled_norm_dp,
 )
 from graev.matching import Match, apply_match, is_match, match_maps, rho
 from graev.sampling import exhaustive_reduced_words, sample_match, sample_reduced_word
 
-from conftest import ALPHA3, DEEP_POINTS, random_raw_word
+from conftest import ALPHA3, DEEP_POINTS, factor_scales, random_raw_word
 
 
 def test_norm_examples():
@@ -179,6 +184,78 @@ def test_bidistances_equal_graev_bidistance():
     pairs.append((word(pos(*[0] * 20, 2), neg(1)), word(pos(*[0] * 20, 1), neg(1))))
     assert bidistances(pairs) == [graev_bidistance(u, v) for u, v in pairs]
     assert bidistances([]) == []
+
+
+def two_table_cost_dp(fix, pair):
+    """The trivial interval DP with a separate column table, col[j][i] =
+    C[i][j]: the reference for cost_dp's one-matrix layout, value and
+    every choice."""
+    n = len(fix)
+    row = [[0] * n for _ in range(n + 1)]  # row[i][j] = C[i][j], 0 for j < i and i = n
+    col = [[0] * n for _ in range(n)]  # col[j][i] = C[i][j]
+    choice = [[None] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        here, inner, pair_i, choice_i = row[i], row[i + 1], pair[i], choice[i]
+        here[i] = col[i][i] = fix[i]
+        for j in range(i + 1, n):
+            there = col[j]
+            best = pair_i[j] + inner[j - 1]
+            splits = list(map(add, here[i:j], there[i + 1 : j + 1]))
+            cheapest = min(splits)
+            if cheapest < best:
+                best = cheapest
+                choice_i[j] = i + splits.index(cheapest)
+            here[j] = there[i] = best
+    return row[0][n - 1], choice
+
+
+def two_table_scaled_norm_dp(w, factor):
+    """The factor-scale interval DP with a separate column table: the
+    reference for scaled_norm_dp's one-matrix layout, value and every
+    choice."""
+    n = len(w)
+    unit, fix, pair = _unit_costs(w)
+    factors = [1 if x.point is None else factor(x.point) for x in w.letters]
+    den = lcm(*(f.denominator for f in factors))
+    grow = den ** (n // 2)
+    scaled = [f.numerator * (den // f.denominator) for f in factors]  # F_i = factor_i * den
+    row = [[0] * n for _ in range(n + 1)]
+    col = [[0] * n for _ in range(n)]
+    choice = [[None] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        here, inner, pair_i, choice_i, f_i = row[i], row[i + 1], pair[i], choice[i], scaled[i]
+        here[i] = col[i][i] = fix[i] * grow
+        for j in range(i + 1, n):
+            there, r = col[j], inner[j - 1]
+            best = pair_i[j] * grow + max(r * f_i, r * scaled[j]) // den
+            splits = list(map(add, here[i:j], there[i + 1 : j + 1]))
+            cheapest = min(splits)
+            if cheapest < best:
+                best = cheapest
+                choice_i[j] = i + splits.index(cheapest)
+            here[j] = there[i] = best
+    return F(row[0][n - 1], unit * grow), choice
+
+
+def test_cost_dp_equals_two_table_loop():
+    # entries 0-2 tie often, which tests the first-cheapest-split rule; the
+    # caller's tables are inputs and stay as they were
+    rng = random.Random(61)
+    for n in range(1, 13):
+        for _ in range(150):
+            fix = [rng.randint(0, 2) for _ in range(n)]
+            pair = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
+            before = [fix[:], [r[:] for r in pair]]
+            assert cost_dp(fix, pair) == two_table_cost_dp(fix, pair), (fix, pair)
+            assert [fix, pair] == before
+
+
+def test_scaled_norm_dp_equals_two_table_loop(tmp_path):
+    rng = random.Random(67)
+    for scale in factor_scales(tmp_path):
+        for _ in range(150):
+            w = random_raw_word(rng, rng.randint(1, 12))
+            assert scaled_norm_dp(w, scale.factor) == two_table_scaled_norm_dp(w, scale.factor), w
 
 
 def literal_bruteforce(w):

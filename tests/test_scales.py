@@ -39,7 +39,7 @@ from graev.scales import (
     weighted_scale,
 )
 
-from conftest import ALPHA3, DEEP_POINTS, RAW_LETTERS, random_raw_word
+from conftest import ALPHA3, DEEP_POINTS, RAW_LETTERS, factor_scales, random_raw_word
 
 WEIGHTED = weighted_scale()
 
@@ -181,24 +181,6 @@ def test_norm_theta_min_trivial_kernel_equals_generic_dp():
         generic = norm_theta_min(w, trivial_copy)
         assert kernel.value == generic.value
         assert kernel.witness.map == generic.witness.map
-
-
-def factor_scales(tmp_path):
-    """Every kind of scale with a factor: weighted and file scales with
-    nonnegative, negative (factors 0 and below 0), non-dyadic, far-index
-    and near-2^61 coefficients."""
-    files = {
-        "nonneg": "0 = 1/4\n2 = 3/8\n",
-        "negative": "0 = -1\n1 = -3\n",
-        "far": "1000000000000 = 5/2\n",
-        "huge-denominator": f"0 = 1/{2**61 - 1}\n2 = -5/{2**61 + 3}\n",
-    }
-    scales = [WEIGHTED, weighted_scale({0: F(3, 7), 1: F(5, 11), 2: F(-2, 3)})]
-    for name, text in files.items():
-        path = tmp_path / f"{name}.scale"
-        path.write_text(text)
-        scales.append(load_scale_file(str(path)))
-    return scales
 
 
 def test_norm_theta_min_factor_kernel_equals_rational_dp(tmp_path):
