@@ -7,9 +7,9 @@ numbers) and a cubic interval dynamic program (the uncapped scalable path)
 that also returns a minimizing match.  The enumeration takes the cost of
 every match from matching.match_costs, not the matches, and unranks only
 the witness.  Both run on exact integers in units of 2^-max_depth, since
-every letter distance is a multiple of it.  The DP's loop, cost_dp, takes
-the integer cost tables themselves, so bidistances, the verify suites'
-route, feeds it from one letter-cost table per call.
+every letter distance is a multiple of it.  bidistances, the verify suites'
+route, feeds the DP's loop, cost_dp, one letter-cost table per call and one
+product per pair, since the trivial-scale metric is two-sided invariant.
 """
 
 from __future__ import annotations
@@ -153,17 +153,20 @@ def graev_distance(u: ReducedWord, v: ReducedWord) -> Rat:
 
 
 def graev_bidistance(u: ReducedWord, v: ReducedWord) -> Rat:
-    """Two-sided metric: distance(u, v) + distance(u^{-1}, v^{-1})."""
+    """Two-sided metric d(u, v) + d(u^{-1}, v^{-1}), by definition: the tests'
+    route for bidistances."""
     return graev_distance(u, v) + graev_distance(invert(u), invert(v))
 
 
 def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
-    """graev_bidistance of each pair of reduced words, in order, each distinct
-    product u^{-1}v or uv^{-1} normed once by cost_dp.  Every word is numbered
-    first, once per object (keyed by id(): pairs keeps the words alive), a
-    letter 2k and its inverse 2k + 1, so words are int tuples and inverting a
-    letter flips the low bit.  The deepest letter then fixes the unit
-    2^-depth, and each letter pair's cost is computed once per call."""
+    """graev_bidistance of each pair of reduced words, in order: twice the norm
+    N(u^{-1}v), each distinct product normed once by cost_dp.  N is conjugation-
+    and inversion-invariant, so N(uv^{-1}) = N(u^{-1} uv^{-1} u) = N(v^{-1}u) =
+    N(u^{-1}v): the metric is two-sided invariant, d(u^{-1}, v^{-1}) = d(u, v).
+    Words are numbered first, once per object (keyed by id(): pairs keeps them
+    alive), a letter 2k and its inverse 2k + 1, so inverting one flips the low
+    bit.  The deepest letter fixes the unit 2^-depth; each letter pair's cost is
+    computed once per call."""
     ids: dict[Letter, int] = {}
     letters: list[Letter] = []
     sides: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}  # word, inverse
@@ -212,8 +215,4 @@ def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
         value = norms[key] = cost_dp([top] * len(key), pair)[0]
         return value
 
-    out = []
-    for u, v in pairs:
-        (u_word, u_inverse), (v_word, v_inverse) = sides[id(u)], sides[id(v)]
-        out.append(Rat(norm(u_inverse, v_word) + norm(u_word, v_inverse), top))
-    return out
+    return [Rat(2 * norm(sides[id(u)][1], sides[id(v)][0]), top) for u, v in pairs]

@@ -6,7 +6,7 @@ useful: distances never grow under projection, distinct words over
 depth-limited points stay uniformly separated, and any two distinct words
 are told apart by some finite truncation level.  The distance suites
 prepare each word once and take every distance of the call from one
-graevmetric.bidistances call.
+graevmetric.bidistances call, which norms one product u^{-1}v per pair.
 """
 
 from __future__ import annotations

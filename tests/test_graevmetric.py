@@ -163,6 +163,39 @@ def test_norm_symmetric_under_inversion():
         assert graev_norm_dp(w) == graev_norm_dp(invert(w))
 
 
+def _seam_pairs(rng, count):
+    """count pairs g·a, g·b that share only a prefix and as many a·g, b·g that
+    share only a suffix: one of u^{-1}v and uv^{-1} cancels at the seam, the
+    other does not.  Then pairs whose u^{-1}v cancels a whole word, u or v."""
+    prefix, suffix = [], []
+    while len(prefix) < count or len(suffix) < count:
+        g, a, b = (sample_reduced_word(rng, DEEP_POINTS, 4) for _ in range(3))
+        for kind, u, v in (
+            (prefix, multiply(g, a), multiply(g, b)),
+            (suffix, multiply(a, g), multiply(b, g)),
+        ):
+            whole = len(u) + len(v)
+            cut = len(multiply(invert(u), v)) < whole, len(multiply(u, invert(v))) < whole
+            if cut[0] != cut[1] and len(kind) < count:
+                kind.append((u, v))
+    g, b = word(pos(1), neg(1, 2)), word(pos(0, 0, 1))
+    return prefix + suffix + [(g, multiply(g, b)), (multiply(g, b), g)]
+
+
+def test_distance_two_sided_invariant():
+    # d(u^{-1}, v^{-1}) = d(u, v), the identity that lets bidistances norm one
+    # product per pair; short products check it on the brute force as well
+    rng = random.Random(59)
+    words = [sample_reduced_word(rng, DEEP_POINTS, 5) for _ in range(24)]
+    words += [IDENTITY_WORD, Word((IDENTITY,))]
+    pairs = list(itertools.product(words, words[::2])) + _seam_pairs(rng, 40)
+    for u, v in pairs:
+        assert graev_distance(u, v) == graev_distance(invert(u), invert(v)), (u, v)
+        left, right = multiply(invert(u), v), multiply(u, invert(v))
+        if max(len(left), len(right)) <= 10:
+            assert graev_norm_bruteforce(left).value == graev_norm_bruteforce(right).value
+
+
 def test_discreteness_depth_two():
     pts = [Point(()), Point((1,)), Point((1, 2)), Point((0, 2))]
     rng = random.Random(7)
@@ -181,6 +214,7 @@ def test_bidistances_equal_graev_bidistance():
     words += [IDENTITY_WORD, Word((IDENTITY,))]
     pairs = [(u, v) for u in words for v in words[::3]]
     pairs += [(u, Word(u.letters)) for u in words]
+    pairs += _seam_pairs(rng, 12)  # one seam cancels, the other does not
     pairs.append((word(pos(*[0] * 20, 2), neg(1)), word(pos(*[0] * 20, 1), neg(1))))
     assert bidistances(pairs) == [graev_bidistance(u, v) for u, v in pairs]
     assert bidistances([]) == []

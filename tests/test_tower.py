@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graev import graevmetric
 from graev.freegroup import (
     IDENTITY,
     IDENTITY_WORD,
@@ -15,6 +16,7 @@ from graev.freegroup import (
     Word,
     format_rat,
     format_word,
+    invert,
     multiply,
     neg,
     pos,
@@ -274,6 +276,30 @@ def test_suites_at_mixed_depths_equal_pair_by_pair_reports():
     for n in (0, 1, 12, 30, 31):
         by_pairs = _lipschitz_by_pairs(n, pairs).to_json()
         assert check_lipschitz(n, (pair for pair in pairs)).to_json() == by_pairs
+
+
+def test_suites_norm_each_distinct_product_once(monkeypatch):
+    # work pin: one cost_dp call per distinct non-empty product u^{-1}v of the
+    # pairs a suite hands to bidistances, and none for uv^{-1}
+    calls = []
+    kernel = graevmetric.cost_dp
+    monkeypatch.setattr(graevmetric, "cost_dp", lambda *tables: calls.append(1) or kernel(*tables))
+
+    def products(pairs):
+        return {multiply(invert(u), v) for u, v in pairs} - {IDENTITY_WORD}
+
+    words = exhaustive_reduced_words(list(ALPHA3), 2)
+    check_discreteness(1, words)
+    rows = sorted(words, key=lambda w: (len(w), format_word(w)))  # the suite's order
+    assert len(calls) == len(products(itertools.combinations(rows, 2))) > 0
+    calls.clear()
+    words = exhaustive_reduced_words(TOWER_POINTS, 2)[:16]
+    words += [word(pos(1, 2), IDENTITY, neg(1)), word(neg(1), neg(1, 2))]
+    pairs = list(itertools.combinations(words, 2))
+    check_lipschitz(1, pairs)
+    projected = [(project_word(u, 1), project_word(v, 1)) for u, v in pairs]
+    reduced = [(reduce_word(u), reduce_word(v)) for u, v in pairs]
+    assert len(calls) == len(products(projected + reduced)) > 0
 
 
 def test_discreteness_rejects_deep_corpus():
