@@ -115,6 +115,8 @@ _DEFAULT_EPS_TAIL = (Rat(1, 64), Rat(1, 256))
 
 
 def _cmd_norm(args: argparse.Namespace) -> int:
+    if args.budget is not None and args.scale is None:
+        raise ValueError("--budget needs --scale")
     w = parse_word(args.word)
     rw = reduce_word(w)
     if args.scale is None:
@@ -140,7 +142,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
                 print(f"witness {witness.serialize()}")
         return 0
     scale = _resolve_scale(args.scale)
-    bounds = norm_bounds(rw, scale, args.budget)
+    bounds = norm_bounds(rw, scale, args.budget or 0)
     if args.json:
         print(
             json.dumps(
@@ -275,10 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("norm", help="norm of a word (exact, or bounded under a scale)")
     p_norm.add_argument("word")
-    p_norm.add_argument("--scale", help="trivial | weighted | file:<path>")
-    p_norm.add_argument("--budget", type=int, default=0, help="insertion budget for bounds")
+    method = p_norm.add_mutually_exclusive_group()
+    method.add_argument("--scale", help="trivial | weighted | file:<path>")
+    method.add_argument("--bruteforce", action="store_true", help="use match enumeration (capped)")
+    p_norm.add_argument("--budget", type=int, help="insertion budget for bounds (needs --scale)")
     p_norm.add_argument("--witness", action="store_true", help="also print the witness")
-    p_norm.add_argument("--bruteforce", action="store_true", help="use match enumeration (capped)")
     p_norm.add_argument("--json", action="store_true")
     p_norm.set_defaults(func=_cmd_norm)
 

@@ -232,7 +232,7 @@ class BoundedNorm:
     witness_match: Match | None = None
 
 
-DEFAULT_SEARCH_CAP = 20000
+SEARCH_CAP = 20000
 
 
 def insertion_alphabet(w: Word) -> tuple[Letter, ...]:
@@ -250,12 +250,7 @@ def insertion_alphabet(w: Word) -> tuple[Letter, ...]:
     return tuple(out)
 
 
-def norm_bounds(
-    w: ReducedWord,
-    scale: Scale,
-    insertion_budget: int,
-    search_cap: int | None = None,
-) -> BoundedNorm:
+def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedNorm:
     """Interval for the scale norm of w.
 
     lower: the trivial-scale Graev norm (a certified lower bound only for a
@@ -267,15 +262,21 @@ def norm_bounds(
     only grows the candidate set, so the upper bound never increases.
     Ties keep the first spelling in search order, the reduced w first.
 
-    Every spelling is generated (and counted against the cap) before any is
-    evaluated.  For a scale declared dominating, no spelling costs less than
-    lower, so the evaluation stops once the upper bound reaches lower; the
-    result is the same as that of the full search.
+    Every spelling is generated (and counted against SEARCH_CAP) before any
+    is evaluated.  A budget of SEARCH_CAP or more is refused before any is
+    built: each budget level adds a spelling longer than all earlier ones,
+    so that search would pass the cap anyway, after work cubic in the budget.
+    For a scale declared dominating, no spelling costs less than lower, so
+    the evaluation stops once the upper bound reaches lower; the result is
+    the same as that of the full search.
     """
     if insertion_budget < 0:
         raise ValueError("insertion budget must be >= 0")
+    cap = SEARCH_CAP
+    over_cap = f"insertion search exceeded the candidate cap {cap}; lower the budget"
+    if insertion_budget >= cap:
+        raise ResourceLimitError(over_cap)
     rw = reduce_word(w)
-    cap = DEFAULT_SEARCH_CAP if search_cap is None else search_cap
     # spellings are tuples of indices into the alphabet, which is closed
     # under inversion and holds every letter of rw
     alphabet = insertion_alphabet(rw)
@@ -293,10 +294,7 @@ def norm_bounds(
                     cand = head + pair + tail
                     if cand not in spellings:
                         if len(spellings) >= cap:
-                            raise ResourceLimitError(
-                                f"insertion search exceeded the candidate cap {cap}; "
-                                "lower the budget or raise the cap"
-                            )
+                            raise ResourceLimitError(over_cap)
                         spellings[cand] = None
                         grown.append(cand)
         frontier = grown

@@ -72,11 +72,6 @@ def involutions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 @pytest.fixture
-def alpha3() -> tuple[Point, ...]:
-    return ALPHA3
-
-
-@pytest.fixture
 def default_digit_limit():
     """CPython's default int-to-str digit limit, 4,300, for the test's
     duration, whatever PYTHONINTMAXSTRDIGITS says; the old limit after."""

@@ -207,7 +207,7 @@ def test_criterion_07_bound_sandwich(criterion):
             w = sample_reduced_word(rng, pts, 2)
             uppers = []
             for budget in (0, 1, 2):
-                b = norm_bounds(w, WEIGHTED, budget, search_cap=100000)
+                b = norm_bounds(w, WEIGHTED, budget)
                 assert b.lower <= b.upper
                 uppers.append(b.upper)
             assert uppers[0] >= uppers[1] >= uppers[2]

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graev.cli
+import graev.tower
 from graev.cli import CorpusSyntaxError, build_parser, main, parse_corpus
-from graev.freegroup import Letter, Word, format_word, is_reduced, parse_word
+from graev.freegroup import Letter, Word, format_word, is_reduced, parse_word, reduce_word
 from graev.sampling import sample_corpus
+from graev.scales import insertion_alphabet
 
 from conftest import ALPHA3, DEEP_POINTS
 
@@ -107,27 +110,35 @@ def test_seplevel_fixtures(capsys):
     assert (code, out) == (0, "equal\n")
 
 
-def test_seplevel_deep_points_bisect(capsys):
+def test_seplevel_deep_points_bisect(capsys, monkeypatch):
     # two depth-8000 points: projecting at every level is quadratic in the depth,
     # bisection projects at about 14 levels
-    left, right = (f"[{'0,' * 7999}{k}]" for k in (1, 2))
+    project, levels = graev.tower.project_word, []
+    monkeypatch.setattr(
+        graev.tower, "project_word", lambda w, n: levels.append(n) or project(w, n)
+    )
+    depth = 8000
+    left, right = (f"[{'0,' * (depth - 1)}{k}]" for k in (1, 2))
     start = time.perf_counter()
-    assert run(capsys, "seplevel", left, right) == (0, "8000\n", "")
+    assert run(capsys, "seplevel", left, right) == (0, f"{depth}\n", "")
     assert time.perf_counter() - start < 1
+    # two projections per bisection step, plus the final check
+    assert len(levels) <= 2 * (math.ceil(math.log2(depth + 1)) + 1)
 
 
 def test_weighted_norm_of_deep_points_is_fast(capsys):
     # the insertion alphabet truncates only the word's own letters, once per
     # nonzero coordinate: re-truncating the whole alphabet at every level took
     # seconds at these depths
-    for budget, point in (
-        ("1", f"[{'0,' * 7999}2]"),  # depth 8000
-        ("0", f"[{','.join(['1'] * 500)}]"),
+    for budget, point, letters in (
+        ("1", f"[{'0,' * 7999}2]", 5),  # depth 8000: x, x^-1, e and the zero point's two
+        ("0", f"[{','.join(['1'] * 500)}]", 2 * 500 + 3),  # a truncation per coordinate
     ):
         start = time.perf_counter()
         argv = ("norm", "--scale", "weighted", "--budget", budget, point)
         assert run(capsys, *argv) == (0, "lower 1/1 upper 1/1\n", "")
         assert time.perf_counter() - start < 1
+        assert len(insertion_alphabet(reduce_word(parse_word(point)))) == letters
 
 
 # --- exit codes ------------------------------------------------------------------
@@ -172,6 +183,35 @@ def test_enumeration_cap_exits_3(capsys, monkeypatch):
     # DP path stays available; three unit-cost arcs plus one fixed point
     code, out, _ = run(capsys, "norm", long_word)
     assert (code, out) == (0, "4/1\n")
+
+
+def test_over_cap_insertion_budgets_exit_3_at_once():
+    # each budget level adds a longer spelling, so a budget of 20,000 or more
+    # passes the cap; building e's spellings first took time cubic in the budget
+    src = Path(graev.cli.__file__).resolve().parents[1]
+    norm = [sys.executable, "-m", "graev.cli", "norm", "--scale", "weighted", "--budget"]
+    for budget, w in (("20000", "e"), ("1000000000", "[1] [1]^-1")):
+        start = time.perf_counter()
+        done = subprocess.run(
+            [*norm, budget, w],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3,
+            "",
+            "error: insertion search exceeded the candidate cap 20000; lower the budget\n",
+        )
+        assert time.perf_counter() - start < 1
+
+
+def test_norm_refuses_flags_it_would_ignore(capsys):
+    code, out, err = run(capsys, "norm", "--bruteforce", "--scale", "weighted", "[1] [2]")
+    assert (code, out) == (2, "")
+    assert "argument --scale: not allowed with argument --bruteforce" in err
+    assert run(capsys, "norm", "--budget", "2", "[1]") == (2, "", "error: --budget needs --scale\n")
 
 
 @pytest.mark.parametrize(
@@ -486,6 +526,20 @@ def test_verify_more_cases_than_words_exits_2_at_once(capsys):
             assert time.perf_counter() - start < 1
         corpus = sample_corpus(random.Random(0), graev.cli._default_points(int(level)), words, 4)
         assert len(set(corpus)) == words
+
+
+def test_verify_gives_up_drawing_after_the_attempt_bound(capsys):
+    # level 0: 2 reduced words of each length, so exactly 32 of length <= 16;
+    # 32 passes the count and the draw stops after 200 * 32 + 1000 attempts
+    for cases in ("32", "33"):
+        argv = ("verify", "--suite", "discreteness", "--level", "0", "--max-len", "16")
+        start = time.perf_counter()
+        assert run(capsys, *argv, "--cases", cases) == (
+            2,
+            "",
+            f"error: could not draw {cases} distinct words of length <= 16 over 1 points\n",
+        )
+        assert time.perf_counter() - start < 1
 
 
 # --- verification suites ----------------------------------------------------------------

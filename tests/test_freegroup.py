@@ -52,6 +52,8 @@ def test_point_canonical_form():
     assert Point((1, 2)).depth == 2
     with pytest.raises(ValueError):
         Point((1, -2))
+    with pytest.raises(ValueError, match="truncation level must be >= 0"):
+        Point(()).truncate(-1)
 
 
 def test_long_runs_of_trailing_zeros_strip_in_linear_time():
@@ -154,6 +156,7 @@ def test_reduce_idempotent_and_reduced():
     r = reduce_word(w)
     assert is_reduced(r)
     assert reduce_word(r) == r
+    assert not is_reduced(word(pos(1), IDENTITY))  # e is reduced only on its own
 
 
 def random_order_reduce(w: Word, rng: random.Random) -> Word:

@@ -98,6 +98,8 @@ def test_sample_match_refuses_lengths_above_cap(monkeypatch):
         "set GRAEV_MATCH_CAP to raise it"
     )
     assert is_match(sample_match(rng, 6).map)
+    with pytest.raises(ValueError, match="interval length >= 1"):
+        sample_match(rng, 0)
 
 
 def test_sample_match_equals_listed_draw():

@@ -1,6 +1,6 @@
 """Standard-library AST scans: every module and test imports only names it
-uses, and every top-level function, class and assigned name of the package
-is used."""
+uses, every top-level function, class and assigned name of the package is
+used, and every fixture and helper of tests/conftest.py is used by a test."""
 
 import ast
 from pathlib import Path
@@ -124,3 +124,59 @@ def test_every_definition_is_referenced(path):
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in REFERRERS if p != path]
     elsewhere = set().union(*map(referenced_names, trees))
     assert unreferenced_definitions(path.read_text(encoding="utf-8"), elsewhere) == []
+
+
+# --- every fixture of tests/conftest.py is requested, every other definition used ----
+
+CONFTEST = ROOT / "tests" / "conftest.py"
+TEST_MODULES = sorted(ROOT.glob("tests/test_*.py"))
+
+
+def requested_fixtures(tree: ast.AST) -> set[str]:
+    """Parameters of test functions, and names given to usefixtures."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+            names.update(a.arg for a in node.args.args + node.args.kwonlyargs)
+        elif isinstance(node, ast.Call) and "usefixtures" in referenced_names(node.func):
+            names.update(a.value for a in node.args if isinstance(a, ast.Constant))
+    return names
+
+
+def dead_conftest_definitions(conftest: str, tests: list[str]) -> list[str]:
+    """Fixtures of conftest that no test requests, and its other top-level
+    names that no test module references."""
+    trees = [ast.parse(source) for source in tests]
+    requested = set().union(*map(requested_fixtures, trees))
+    used = set().union(*map(referenced_names, trees))
+    dead = []
+    for stmt in ast.parse(conftest).body:
+        decorators = getattr(stmt, "decorator_list", [])
+        fixture = any("fixture" in referenced_names(d) for d in decorators)
+        dead += [n for n in defined_names(stmt) if n not in (requested if fixture else used)]
+    return dead
+
+
+def test_scan_finds_a_dead_fixture():
+    conftest = (
+        "import pytest\n"
+        "POINTS = (1, 2)\n"
+        "UNUSED = POINTS\n"
+        "def helper():\n    return POINTS\n"
+        "@pytest.fixture\ndef asked():\n    return 1\n"
+        "@pytest.fixture(autouse=False)\ndef listed():\n    return 2\n"
+        "@pytest.fixture\ndef dead():\n    return POINTS\n"
+    )
+    tests = [
+        "from conftest import POINTS, helper\n"
+        "def test_a(asked):\n    assert helper() == POINTS\n",
+        "import pytest\n"
+        "@pytest.mark.usefixtures('listed')\ndef test_b():\n    pass\n"
+        "def check(dead):\n    pass\n",
+    ]
+    assert dead_conftest_definitions(conftest, tests) == ["UNUSED", "dead"]
+
+
+def test_conftest_has_no_dead_definitions():
+    tests = [p.read_text(encoding="utf-8") for p in TEST_MODULES]
+    assert dead_conftest_definitions(CONFTEST.read_text(encoding="utf-8"), tests) == []

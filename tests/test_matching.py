@@ -116,6 +116,8 @@ def test_count_matches_examples():
     assert count_matches(2) == 2
     assert count_matches(5) == 21
     assert count_matches(10) == 2188
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        count_matches(-1)
 
 
 def test_count_matches_equals_convolution():

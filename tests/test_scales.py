@@ -9,6 +9,7 @@ from graev import cli
 from graev.errors import ResourceLimitError
 from graev.freegroup import (
     IDENTITY,
+    IDENTITY_WORD,
     Letter,
     Point,
     Word,
@@ -25,7 +26,6 @@ from graev.matching import Match, enumerate_matches, is_match
 from graev.sampling import sample_match, sample_reduced_word
 from graev.scales import (
     BoundedNorm,
-    DEFAULT_SEARCH_CAP,
     Scale,
     TRIVIAL_SCALE,
     check_scale_axioms,
@@ -236,7 +236,7 @@ def test_norm_bounds_sandwich_and_budget_monotone():
         w = sample_reduced_word(rng, pts, 2)
         uppers = []
         for budget in (0, 1, 2):
-            b = norm_bounds(w, WEIGHTED, budget, search_cap=100000)
+            b = norm_bounds(w, WEIGHTED, budget)
             assert b.lower <= b.upper
             assert reduce_word(b.witness_word) == reduce_word(w)
             assert norm_theta(b.witness_word, b.witness_match, WEIGHTED) == b.upper
@@ -244,10 +244,11 @@ def test_norm_bounds_sandwich_and_budget_monotone():
         assert uppers[0] >= uppers[1] >= uppers[2]
 
 
-def test_norm_bounds_search_cap():
+def test_norm_bounds_search_cap(monkeypatch):
+    monkeypatch.setattr(graev.scales, "SEARCH_CAP", 50)
     w = word(pos(1), pos(2), pos(1, 2))
-    with pytest.raises(ResourceLimitError):
-        norm_bounds(w, WEIGHTED, 3, search_cap=50)
+    with pytest.raises(ResourceLimitError, match="candidate cap 50; lower the budget$"):
+        norm_bounds(w, WEIGHTED, 3)
     with pytest.raises(ValueError):
         norm_bounds(w, WEIGHTED, -1)
 
@@ -272,7 +273,7 @@ def exhaustive_bounds(w, scale, budget, cap):
                         if len(seen) >= cap:
                             raise ResourceLimitError(
                                 f"insertion search exceeded the candidate cap {cap}; "
-                                "lower the budget or raise the cap"
+                                "lower the budget"
                             )
                         seen.add(cand)
                         grown.append(cand)
@@ -293,7 +294,7 @@ def bounds_or_cap_error(search, *args):
         return str(exc)
 
 
-def test_norm_bounds_equals_exhaustive_search(tmp_path):
+def test_norm_bounds_equals_exhaustive_search(tmp_path, monkeypatch):
     nonneg = tmp_path / "nonneg.scale"
     nonneg.write_text("0 = 1/4\n2 = 3/8\n")
     negative = tmp_path / "negative.scale"
@@ -309,15 +310,17 @@ def test_norm_bounds_equals_exhaustive_search(tmp_path):
     rng = random.Random(53)
     words = [word(Letter(s, p)) for p in pts for s in (1, -1)]
     words += [sample_reduced_word(rng, pts, 2) for _ in range(6)]
-    for w in words:
-        for scale in scales:
-            # one-letter words of depth <= 1 have 10 spellings at budget 1,
-            # so caps 9 and 10 sit on either side of the cap error
-            for budget, cap in ((0, 400), (1, 9), (1, 10), (1, 400), (2, 400), (2, 40)):
-                args = (w, scale, budget, cap)
-                assert bounds_or_cap_error(norm_bounds, *args) == bounds_or_cap_error(
-                    exhaustive_bounds, *args
-                )
+    words += [IDENTITY_WORD, parse_word("[1] [1]^-1")]  # both search from e
+    # one-letter words of depth <= 1 have 10 spellings at budget 1, so caps 9
+    # and 10 sit on either side of the cap error; from budget = cap on,
+    # norm_bounds refuses before it builds a spelling
+    caps = ((0, 400), (1, 9), (1, 10), (1, 400), (2, 400), (2, 40), (1, 1), (2, 2), (3, 2))
+    for budget, cap in caps:
+        monkeypatch.setattr(graev.scales, "SEARCH_CAP", cap)
+        for w in words:
+            for scale in scales:
+                oracle = bounds_or_cap_error(exhaustive_bounds, w, scale, budget, cap)
+                assert bounds_or_cap_error(norm_bounds, w, scale, budget) == oracle
 
 
 def test_spellings_are_evaluated_through_module_norm_theta_min(monkeypatch, capsys):
@@ -334,7 +337,7 @@ def test_spellings_are_evaluated_through_module_norm_theta_min(monkeypatch, caps
     w = reduce_word(parse_word("[1,2]^-1 [0]^-1 [1]"))
     b = norm_bounds(w, WEIGHTED, 2)
     assert (b.lower, b.upper) == (F(3, 2), F(7, 4))  # never closes: every spelling runs
-    assert b == exhaustive_bounds(w, WEIGHTED, 2, DEFAULT_SEARCH_CAP)
+    assert b == exhaustive_bounds(w, WEIGHTED, 2, graev.scales.SEARCH_CAP)
     assert len(calls) == len(spellings) > 1
     calls.clear()
     assert cli.main(["norm", "--scale", "weighted", "--budget", "1", "[1]"]) == 0
@@ -417,8 +420,8 @@ def test_conjugated_upper_bound_uses_lifted_witness():
         if len(conj) != len(u) + 2:
             continue
         for budget in (0, 1):
-            inner = norm_bounds(u, WEIGHTED, budget, search_cap=100000)
-            outer = norm_bounds(conj, WEIGHTED, budget, search_cap=100000)
+            inner = norm_bounds(u, WEIGHTED, budget)
+            outer = norm_bounds(conj, WEIGHTED, budget)
             assert outer.upper <= WEIGHTED(g, inner.upper)
         checked += 1
 

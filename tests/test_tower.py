@@ -149,6 +149,8 @@ def test_extension_conditions_pass():
             "nonexpansive-on-letters",
             "scale-dominates-projection",
         }
+    with pytest.raises(ValueError, match="letter and grid samples must be nonempty"):
+        check_extension_conditions(1, WEIGHTED, [], [F(0)])
 
 
 def test_extension_distance_drop_example():
