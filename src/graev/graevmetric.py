@@ -4,7 +4,8 @@ Two independent routes compute the same minimum-cost rewriting over
 non-crossing matchings: explicit enumeration (the permanent oracle, under
 matching.check_enumeration_cap because match counts grow like Motzkin
 numbers) and a cubic interval dynamic program (the uncapped scalable path)
-that also returns a minimizing match.  The enumeration takes the cost of
+whose value matrix also yields a minimizing match, read back by
+matching.match_from_values.  The enumeration takes the cost of
 every match from matching.match_costs, not the matches, and unranks only
 the witness.  Both run on exact integers in units of 2^-max_depth, since
 every letter distance is a multiple of it.  bidistances, the verify suites'
@@ -30,7 +31,7 @@ from .freegroup import (
     multiply,
     reduce_word,
 )
-from .matching import Match, check_enumeration_cap, match_costs, unrank_match
+from .matching import Match, check_enumeration_cap, match_costs, match_from_values, unrank_match
 
 
 @dataclass(frozen=True)
@@ -78,46 +79,43 @@ def graev_norm_bruteforce(w: Word) -> NormResult:
     return NormResult(Rat(best, unit), unrank_match(n, costs.index(best)))
 
 
-def trivial_norm_dp(w: Word) -> tuple[Rat, list[list[int | None]]]:
+def trivial_norm_dp(w: Word) -> NormResult:
     """Minimum rewrite cost of w as spelled (not reduced), by cost_dp on the
-    integer letter distances, and the choices match_from_choices turns into
-    a minimizing match."""
+    integer letter distances, and the match that matching.match_from_values
+    reads back from its value matrix."""
     unit, fix, pair = _unit_costs(w)
-    value, choice = cost_dp(fix, pair)
-    return Rat(value, unit), choice
+    row = cost_dp(fix, pair)
+    witness = match_from_values(row, len(fix), lambda i, j, inner: pair[i][j] + inner)
+    return NormResult(Rat(row[0][-1], unit), witness)
 
 
-def cost_dp(fix: list[int], pair: list[list[int]]) -> tuple[int, list[list[int | None]]]:
+def cost_dp(fix: list[int], pair: list[list[int]]) -> list[list[int]]:
     """The integer interval DP under trivial_norm_dp and bidistances' per-call cost table:
-    fix[i] costs letter i alone, pair[i][j] (i < j) its pairing with j.  C[i][j] pairs the
-    ends, pair[i][j] + C[i+1][j-1], unless a split C[i][k] + C[k+1][j] is strictly cheaper
-    (then the first cheapest k), as in scales.norm_theta_min, so both choose the same match.
-    One value matrix: row[i][j] and row[j][i] both hold C[i][j] (i <= j).  At j = i + 1,
-    inner[j - 1] is row[i + 1][i], still 0 (the empty inner interval) until written below."""
+    fix[i] costs letter i alone, pair[i][j] (i < j) its pairing with j.  C[i][j] is the
+    least of pairing the ends, pair[i][j] + C[i+1][j-1], and each split C[i][k] + C[k+1][j].
+    Returns the one value matrix: row[i][j] and row[j][i] both hold C[i][j] (i <= j), so
+    row[0][-1] is the word's value.  At j = i + 1, inner[j - 1] is row[i + 1][i], still 0
+    (the empty inner interval) until written below."""
     n = len(fix)
     row = [[0] * n for _ in range(n + 1)]  # row n stays 0, so inner binds at i = n - 1
-    choice: list[list[int | None]] = [[None] * n for _ in range(n)]
     for i in range(n - 1, -1, -1):
-        here, inner, pair_i, choice_i = row[i], row[i + 1], pair[i], choice[i]
+        here, inner, pair_i = row[i], row[i + 1], pair[i]
         here[i] = fix[i]
         for j in range(i + 1, n):
             there = row[j]
-            best = pair_i[j] + inner[j - 1]
-            splits = list(map(add, here[i:j], there[i + 1 : j + 1]))
-            cheapest = min(splits)
-            if cheapest < best:
-                best = cheapest
-                choice_i[j] = i + splits.index(cheapest)
-            here[j] = there[i] = best
-    return row[0][n - 1], choice
+            here[j] = there[i] = min(
+                pair_i[j] + inner[j - 1], min(map(add, here[i:j], there[i + 1 : j + 1]))
+            )
+    return row
 
 
-def scaled_norm_dp(w: Word, factor: Callable[[Point], Rat]) -> tuple[Rat, list[list[int | None]]]:
+def scaled_norm_dp(w: Word, factor: Callable[[Point], Rat]) -> NormResult:
     """trivial_norm_dp for a multiplicative scale, scale(x, r) = r * factor(x.point) off
     the identity: the ends pay d(x_i^{-1}, x_j) + max(r F_i, r F_j), r the inner value.
     Integers in units of 2^-max_depth * L^-floor(n/2), L the lcm of the factors'
     denominators: an interval of length m nests at most floor(m/2) factors, so the division
-    by L is exact.  Factors and values may be negative.  One value matrix, as in cost_dp."""
+    by L is exact.  Factors and values may be negative.  One value matrix, as in cost_dp,
+    and the match that matching.match_from_values reads back from it."""
     n = len(w)
     unit, fix, pair = _unit_costs(w)
     factors = [1 if x.point is None else factor(x.point) for x in w.letters]
@@ -125,26 +123,26 @@ def scaled_norm_dp(w: Word, factor: Callable[[Point], Rat]) -> tuple[Rat, list[l
     grow = den ** (n // 2)
     scaled = [f.numerator * (den // f.denominator) for f in factors]  # F_i = factor_i * den
     row = [[0] * n for _ in range(n + 1)]
-    choice: list[list[int | None]] = [[None] * n for _ in range(n)]
     for i in range(n - 1, -1, -1):
-        here, inner, pair_i, choice_i, f_i = row[i], row[i + 1], pair[i], choice[i], scaled[i]
+        here, inner, pair_i, f_i = row[i], row[i + 1], pair[i], scaled[i]
         here[i] = fix[i] * grow
         for j in range(i + 1, n):
             there, r = row[j], inner[j - 1]
-            best = pair_i[j] * grow + max(r * f_i, r * scaled[j]) // den
-            splits = list(map(add, here[i:j], there[i + 1 : j + 1]))
-            cheapest = min(splits)
-            if cheapest < best:
-                best = cheapest
-                choice_i[j] = i + splits.index(cheapest)
-            here[j] = there[i] = best
-    return Rat(row[0][n - 1], unit * grow), choice
+            here[j] = there[i] = min(
+                pair_i[j] * grow + max(r * f_i, r * scaled[j]) // den,
+                min(map(add, here[i:j], there[i + 1 : j + 1])),
+            )
+    witness = match_from_values(
+        row, n, lambda i, j, r: pair[i][j] * grow + max(r * scaled[i], r * scaled[j]) // den
+    )
+    return NormResult(Rat(row[0][-1], unit * grow), witness)
 
 
 def graev_norm_dp(w: Word) -> Rat:
     """Same minimum as the brute force, by the interval DP on the reduced
     word.  Uncapped; cubic in the reduced length."""
-    return trivial_norm_dp(reduce_word(w))[0]
+    unit, fix, pair = _unit_costs(reduce_word(w))
+    return Rat(cost_dp(fix, pair)[0][-1], unit)
 
 
 def graev_distance(u: ReducedWord, v: ReducedWord) -> Rat:
@@ -212,7 +210,7 @@ def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
                     costs[x, y] = cost
                 row.append(cost)
             pair.append(row)
-        value = norms[key] = cost_dp([top] * len(key), pair)[0]
+        value = norms[key] = cost_dp([top] * len(key), pair)[0][-1]
         return value
 
     return [Rat(2 * norm(sides[id(u)][1], sides[id(v)][0]), top) for u, v in pairs]

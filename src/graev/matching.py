@@ -69,20 +69,22 @@ class Match:
         return " ".join(str(v) for v in self.map)
 
 
-def match_from_choices(choice, n: int) -> Match:
-    """Rebuild the match an interval DP chose on {0,...,n-1}, iteratively.
+def match_from_values(row, n: int, ends) -> Match:
+    """Read back the match an interval DP chose on {0,...,n-1}, iteratively.
 
-    choice[i][j] (i < j) is None when the DP paired the ends i and j
-    around the inner interval, or the k (i <= k < j) where it split the
-    interval into [i, k] and [k+1, j].  Single positions are fixed points.
+    row[i][j] (i <= j) holds C[i][j], the least of the pair term ends(i, j, inner),
+    inner = C[i+1][j-1] (ZERO if empty), and the splits C[i][k] + C[k+1][j], i <= k < j.
+    The ends pair unless a split is strictly cheaper, and then the first cheapest k
+    splits; so ends runs only where a split reaches C[i][j].  Single positions stay fixed.
     """
     mp = list(range(n))
     pending = [(0, n - 1)]
     while pending:
         i, j = pending.pop()
         while i < j:
-            k = choice[i][j]
-            if k is None:
+            here, best = row[i], row[i][j]
+            k = next((k for k in range(i, j) if here[k] + row[k + 1][j] == best), None)
+            if k is None or ends(i, j, row[i + 1][j - 1] if i + 1 < j else ZERO) == best:
                 mp[i], mp[j] = j, i
                 i, j = i + 1, j - 1
             else:

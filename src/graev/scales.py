@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError, digit_limit, digit_limit_error
@@ -39,7 +40,7 @@ from .freegroup import (
     reduce_word,
 )
 from .graevmetric import NormResult, graev_norm_dp, scaled_norm_dp, trivial_norm_dp
-from .matching import Match, is_match, match_from_choices
+from .matching import Match, is_match, match_from_values
 from .reports import CheckCase, VerificationReport
 
 
@@ -180,37 +181,32 @@ def norm_theta(w: Word, theta: Match, scale: Scale) -> Rat:
 
 
 def norm_theta_min(w: Word, scale: Scale) -> NormResult:
-    """Minimum of norm_theta over every match, by interval DP.
+    """Minimum of norm_theta over every match, by interval DP, and the match
+    that matching.match_from_values reads back from its value matrix.
 
     The pair-ends branch may take the minimal inner value because scales
     are monotone in their second argument.  The input word is used as
-    given (it is not reduced); a minimizing match is reconstructed.  The
-    trivial scale and scales with a factor run it on integers in graevmetric.
+    given (it is not reduced).  The trivial scale and scales with a factor
+    run it on integers in graevmetric; other scales run this Fraction loop.
     """
-    ls = w.letters
-    n = len(ls)
-    if scale is TRIVIAL_SCALE or scale.factor is not None:
-        value, choice = (
-            trivial_norm_dp(w) if scale is TRIVIAL_SCALE else scaled_norm_dp(w, scale.factor)
-        )
-        return NormResult(value, match_from_choices(choice, n))
-    val: list[list[Rat]] = [[ZERO] * n for _ in range(n)]
-    choice: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        val[i][i] = letter_distance(IDENTITY, ls[i])
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            j = i + span - 1
-            x = ls[i].inverse()
-            y = ls[j]
-            inner = val[i + 1][j - 1] if span > 2 else ZERO
-            best = letter_distance(x, y) + max(scale(x, inner), scale(y, inner))
-            for k in range(i, j):
-                cand = val[i][k] + val[k + 1][j]
-                if cand < best:
-                    best, choice[i][j] = cand, k
-            val[i][j] = best
-    return NormResult(val[0][n - 1], match_from_choices(choice, n))
+    if scale is TRIVIAL_SCALE:
+        return trivial_norm_dp(w)
+    if scale.factor is not None:
+        return scaled_norm_dp(w, scale.factor)
+    ls, n = w.letters, len(w)
+
+    def ends(i: int, j: int, inner: Rat) -> Rat:
+        x, y = ls[i].inverse(), ls[j]
+        return letter_distance(x, y) + max(scale(x, inner), scale(y, inner))
+
+    val: list[list[Rat]] = [[ZERO] * n for _ in range(n)]  # val[i][j] = val[j][i] = C[i][j]
+    for i in range(n - 1, -1, -1):
+        here = val[i]
+        here[i] = letter_distance(IDENTITY, ls[i])
+        for j in range(i + 1, n):  # val[i + 1][i] is ZERO, the empty inner, until written
+            splits = map(add, here[i:j], val[j][i + 1 : j + 1])
+            here[j] = val[j][i] = min(ends(i, j, val[i + 1][j - 1]), *splits)
+    return NormResult(val[0][n - 1], match_from_values(val, n, ends))
 
 
 # ---------------------------------------------------------------------------

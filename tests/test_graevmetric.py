@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import lcm
 from operator import add
@@ -24,6 +25,7 @@ from graev.freegroup import (
     word,
 )
 from graev.graevmetric import (
+    NormResult,
     _unit_costs,
     bidistances,
     cost_dp,
@@ -32,11 +34,14 @@ from graev.graevmetric import (
     graev_norm_bruteforce,
     graev_norm_dp,
     scaled_norm_dp,
+    trivial_norm_dp,
 )
-from graev.matching import Match, apply_match, is_match, match_maps, rho
+from graev.matching import Match, apply_match, is_match, match_from_values, match_maps, rho
 from graev.sampling import exhaustive_reduced_words, sample_match, sample_reduced_word
+from graev.scales import TRIVIAL_SCALE, norm_theta_min
 
 from conftest import ALPHA3, DEEP_POINTS, factor_scales, random_raw_word
+from test_matching import match_from_choices
 
 
 def test_norm_examples():
@@ -273,8 +278,15 @@ def two_table_scaled_norm_dp(w, factor):
     return F(row[0][n - 1], unit * grow), choice
 
 
+def counted_ends(pair, calls):
+    """cost_dp's pair term, for match_from_values, appending to calls once per call."""
+    return lambda i, j, inner: calls.append((i, j)) or pair[i][j] + inner
+
+
 def test_cost_dp_equals_two_table_loop():
-    # entries 0-2 tie often, which tests the first-cheapest-split rule; the
+    # entries 0-2 tie often, which tests the pair-first, first-cheapest-split
+    # rule: the witness read back from the values is the one the loop's
+    # choices rebuild, with the pair term costed at most n - 1 times; the
     # caller's tables are inputs and stay as they were
     rng = random.Random(61)
     for n in range(1, 13):
@@ -282,8 +294,46 @@ def test_cost_dp_equals_two_table_loop():
             fix = [rng.randint(0, 2) for _ in range(n)]
             pair = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
             before = [fix[:], [r[:] for r in pair]]
-            assert cost_dp(fix, pair) == two_table_cost_dp(fix, pair), (fix, pair)
+            value, choice = two_table_cost_dp(fix, pair)
+            row, calls = cost_dp(fix, pair), []
+            witness = match_from_values(row, n, counted_ends(pair, calls))
+            assert (row[0][-1], witness) == (value, match_from_choices(choice, n)), (fix, pair)
+            assert len(calls) <= n - 1
             assert [fix, pair] == before
+
+
+def test_witness_read_back_costs_pair_terms_only_at_ties():
+    # a pair term is costed only where a split reaches the interval's value:
+    # never on a word whose optimum only nests pairs with no split at its value
+    # on the way, and at most once per interval the walk visits, n - 1 in all
+    _, fix, pair = _unit_costs(word(pos(1), pos(2), neg(2), neg(1)))
+    calls = []
+    assert match_from_values(cost_dp(fix, pair), 4, counted_ends(pair, calls)).map == (3, 2, 1, 0)
+    assert calls == []
+    rng = random.Random(73)
+    for _ in range(2000):
+        w = random_raw_word(rng, rng.randint(1, 14))
+        _, fix, pair = _unit_costs(w)
+        calls = []
+        witness = match_from_values(cost_dp(fix, pair), len(w), counted_ends(pair, calls))
+        assert witness == trivial_norm_dp(w).witness, w
+        assert len(calls) <= len(w) - 1, w
+
+
+def test_trivial_witness_dp_memory_pin():
+    # over [0], [0]^-1 and e every cost and value is a cached small int, so
+    # the peak counts list slots: the value matrix and _unit_costs' pair
+    # table, 2 * 8n^2 bytes, and not a third n x n table
+    rng = random.Random(79)
+    n = 200
+    w = Word(tuple(rng.choice((pos(0), neg(0), IDENTITY)) for _ in range(n)))
+    tracemalloc.start()
+    try:
+        norm_theta_min(w, TRIVIAL_SCALE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_scaled_norm_dp_equals_two_table_loop(tmp_path):
@@ -291,7 +341,9 @@ def test_scaled_norm_dp_equals_two_table_loop(tmp_path):
     for scale in factor_scales(tmp_path):
         for _ in range(150):
             w = random_raw_word(rng, rng.randint(1, 12))
-            assert scaled_norm_dp(w, scale.factor) == two_table_scaled_norm_dp(w, scale.factor), w
+            value, choice = two_table_scaled_norm_dp(w, scale.factor)
+            expected = NormResult(value, match_from_choices(choice, len(w)))
+            assert scaled_norm_dp(w, scale.factor) == expected, w
 
 
 def literal_bruteforce(w):

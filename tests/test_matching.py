@@ -14,7 +14,7 @@ from graev.matching import (
     enumerate_matches,
     is_match,
     match_costs,
-    match_from_choices,
+    match_from_values,
     match_maps,
     rho,
     unrank_match,
@@ -242,22 +242,55 @@ def test_match_serialization():
     assert Match((3, 2, 1, 0)).serialize() == "3 2 1 0"
 
 
-# --- witness reconstruction from DP choices -----------------------------------
+# --- witness read-back from DP values ----------------------------------------
 
 
-def test_match_from_choices_small():
-    # [0, 3] splits at 1; [0, 1] and [2, 3] pair their ends
-    choice = [[None, None, None, 1], [None] * 4, [None] * 4, [None] * 4]
-    assert match_from_choices(choice, 4).map == (1, 0, 3, 2)
-    assert match_from_choices([[None]], 1).map == (0,)
+def match_from_choices(choice, n: int) -> Match:
+    """Rebuild the match an interval DP chose on {0,...,n-1}, iteratively.
+
+    choice[i][j] (i < j) is None when the DP paired the ends i and j
+    around the inner interval, or the k (i <= k < j) where it split the
+    interval into [i, k] and [k+1, j].  Single positions are fixed points.
+    """
+    mp = list(range(n))
+    pending = [(0, n - 1)]
+    while pending:
+        i, j = pending.pop()
+        while i < j:
+            k = choice[i][j]
+            if k is None:
+                mp[i], mp[j] = j, i
+                i, j = i + 1, j - 1
+            else:
+                pending.append((k + 1, j))
+                j = k
+    return Match(tuple(mp))
 
 
-def test_match_from_choices_deep_nesting_is_iterative():
+class SparseRow(dict):
+    """A value row whose missing entries read 0."""
+
+    def __missing__(self, key):
+        return 0
+
+
+def test_match_from_values_small():
+    # fixed points cost 1, the arcs (0, 1) and (2, 3) cost 0 and every other
+    # arc 5: [0, 3] splits at 1, since its pair term 5 + C[1][2] = 7 is dearer,
+    # and [0, 1] and [2, 3] pair their ends, since no split reaches 0
+    row = [[1, 0, 1, 0], [0, 1, 2, 1], [1, 2, 1, 0], [0, 1, 0, 1]]
+    arcs = {(0, 1): 0, (2, 3): 0}
+    ends = lambda i, j, inner: arcs.get((i, j), 5) + inner
+    assert match_from_values(row, 4, ends).map == (1, 0, 3, 2)
+    assert match_from_values([[1]], 1, ends).map == (0,)
+
+
+def test_match_from_values_deep_nesting_is_iterative():
     # 3,000 nested pairs around a fixed point, then 3,000 chained splits into
-    # fixed points: a recursive rebuild would need a frame per level
+    # fixed points: every split ties at 0, so ends decides each interval, and
+    # a recursive walk would need a frame per level
     depth = 3000
     n = 2 * depth + 1
-    nested = [{n - 1 - i: None} for i in range(depth)] + [{}] * (depth + 1)
-    assert match_from_choices(nested, n).map == tuple(reversed(range(n)))
-    chained = [{j: j - 1 for j in range(1, n)}]
-    assert match_from_choices(chained, n).map == tuple(range(n))
+    row = [SparseRow() for _ in range(n)]
+    assert match_from_values(row, n, lambda i, j, inner: 0).map == tuple(reversed(range(n)))
+    assert match_from_values(row, n, lambda i, j, inner: 1).map == tuple(range(n))

@@ -13,7 +13,9 @@ from graev.freegroup import (
     Letter,
     Point,
     Word,
+    ZERO,
     invert,
+    letter_distance,
     multiply,
     neg,
     parse_word,
@@ -40,6 +42,7 @@ from graev.scales import (
 )
 
 from conftest import ALPHA3, DEEP_POINTS, RAW_LETTERS, factor_scales, random_raw_word
+from test_matching import match_from_choices
 
 WEIGHTED = weighted_scale()
 
@@ -195,6 +198,49 @@ def test_norm_theta_min_factor_kernel_equals_rational_dp(tmp_path):
             rational = norm_theta_min(w, callable_only)
             assert kernel.value == rational.value
             assert kernel.witness.map == rational.witness.map
+
+
+def choice_table_rational_dp(w, scale):
+    """The rational interval DP by span, with a choice table: the ends pair
+    unless a split is strictly cheaper, then the first cheapest k splits.
+    The reference for norm_theta_min's value-only Fraction loop, value and
+    witness."""
+    ls = w.letters
+    n = len(ls)
+    val = [[ZERO] * n for _ in range(n)]
+    choice = [[None] * n for _ in range(n)]
+    for i in range(n):
+        val[i][i] = letter_distance(IDENTITY, ls[i])
+    for span in range(2, n + 1):
+        for i in range(n - span + 1):
+            j = i + span - 1
+            x = ls[i].inverse()
+            y = ls[j]
+            inner = val[i + 1][j - 1] if span > 2 else ZERO
+            best = letter_distance(x, y) + max(scale(x, inner), scale(y, inner))
+            for k in range(i, j):
+                cand = val[i][k] + val[k + 1][j]
+                if cand < best:
+                    best, choice[i][j] = cand, k
+            val[i][j] = best
+    return val[0][n - 1], match_from_choices(choice, n)
+
+
+def test_norm_theta_min_rational_loop_equals_choice_table_loop(tmp_path):
+    # callable-only scales run the Fraction loop, whose witness is read back
+    # from its values; the choice-table loop must agree on both
+    scales = [
+        Scale("plus-one", lambda x, r: r + 1),
+        Scale("square-plus", lambda x, r: r * r + r),
+        Scale("identity", lambda x, r: r),
+    ]
+    scales += [Scale(s.name, s.evaluate) for s in factor_scales(tmp_path)]
+    rng = random.Random(71)
+    for _ in range(300):
+        w = random_raw_word(rng, rng.randint(1, 12))
+        for scale in scales:
+            res = norm_theta_min(w, scale)
+            assert (res.value, res.witness) == choice_table_rational_dp(w, scale), (w, scale.name)
 
 
 def test_scale_factor_contract(tmp_path):

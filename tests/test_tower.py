@@ -304,6 +304,31 @@ def test_suites_norm_each_distinct_product_once(monkeypatch):
     assert len(calls) == len(products(projected + reduced)) > 0
 
 
+def test_value_only_routes_read_no_witness_back(monkeypatch):
+    # graev_norm_dp, bidistances and the suites read cost_dp's value alone:
+    # with the witness read-back refused, they return the same values and reports
+    words = exhaustive_reduced_words(TOWER_POINTS, 2)[:16]
+    pairs = list(itertools.combinations(words, 2))
+
+    def run():
+        return (
+            [graevmetric.graev_norm_dp(multiply(invert(u), v)) for u, v in pairs],
+            graevmetric.bidistances(pairs),
+            check_discreteness(2, words).to_json(),
+            check_lipschitz(1, pairs).to_json(),
+        )
+
+    expected = run()
+
+    def refuse(*args):
+        raise AssertionError("a witness was read back")
+
+    monkeypatch.setattr(graevmetric, "match_from_values", refuse)
+    with pytest.raises(AssertionError, match="read back"):
+        graevmetric.trivial_norm_dp(words[1])
+    assert run() == expected
+
+
 def test_discreteness_rejects_deep_corpus():
     with pytest.raises(ValueError, match="depth"):
         check_discreteness(1, [word(pos(1, 2))])
