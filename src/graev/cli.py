@@ -14,9 +14,9 @@ import functools
 import json
 import random
 import sys
-from typing import IO
+from typing import Iterable
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, text_lines
 from .freegroup import (
     Letter,
     Point,
@@ -62,12 +62,11 @@ class CorpusSyntaxError(ValueError):
         self.column = column
 
 
-def parse_corpus(source: str | IO[str]) -> list[ReducedWord]:
+def parse_corpus(source: str | Iterable[str]) -> list[ReducedWord]:
     """One word per line in the word grammar, "#" comments allowed; every
     line is parsed and reduced.  An empty file is a valid empty corpus."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return parse_corpus(fh)
+        return parse_corpus(text_lines(source))
     words: list[ReducedWord] = []
     for lineno, raw in enumerate(source, start=1):
         content = raw.split("#", 1)[0].rstrip("\n")
@@ -228,6 +227,14 @@ def _load_or_default_corpus(args: argparse.Namespace, level: int) -> list[Word]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cases < 0:
         raise ValueError(f"--cases must be >= 0, got {args.cases}")
+    if args.suite in ("discreteness", "lipschitz"):
+        if args.scale is not None:
+            raise ValueError(f"--suite {args.suite} takes no --scale")
+        if args.cases and args.corpus is not None:
+            raise ValueError("--cases cannot be given with --corpus")
+    elif args.corpus is not None or args.cases:
+        flag = "--corpus" if args.corpus is not None else "--cases"
+        raise ValueError(f"--suite {args.suite} takes no {flag}")
     if args.suite == "discreteness":
         if args.corpus is None:  # the default points are level deep
             check_bound_digits(args.level)
@@ -237,7 +244,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.suite == "lipschitz":
         if args.corpus is None:  # the default points are level + 1 deep
             check_bound_digits(args.level)
-        if args.corpus is None and args.cases:
+        if args.cases:  # never with --corpus
             rng = random.Random(args.seed)
             points = _default_points(args.level + 1)
             pairs = sample_distinct_pairs(rng, points, args.cases, args.max_len)

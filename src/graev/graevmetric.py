@@ -8,8 +8,10 @@ whose value matrix also yields a minimizing match, read back by
 matching.match_from_values.  The enumeration takes the cost of
 every match from matching.match_costs, not the matches, and unranks only
 the witness.  Both run on exact integers in units of 2^-max_depth, since
-every letter distance is a multiple of it.  bidistances, the verify suites'
-route, feeds the DP's loop, cost_dp, one letter-cost table per call and one
+every letter distance is a multiple of it, from one lower-triangular table
+per word: costs[j][i] = d(x_i^{-1}, x_j) pairs i < j, costs[j][j] = d(e, x_j)
+leaves j alone.  bidistances, the verify suites' route, builds that table for
+the DP's loop, cost_dp, from one letter-pair memo per call, and norms one
 product per pair, since the trivial-scale metric is two-sided invariant.
 """
 
@@ -40,25 +42,21 @@ class NormResult:
     witness: Match
 
 
-def _unit_costs(w: Word) -> tuple[int, list[int], list[list[int]]]:
-    # Letter distances in units of 2^-max_depth: fix[i] = d(e, x_i), pair[i][j]
-    # = d(x_i^{-1}, x_j) for i < j; 1 across signs (the identity included), 0
-    # between identities, else 2^-k at the first coordinate k where points differ.
+def _unit_costs(w: Word) -> tuple[int, list[list[int]]]:
+    # Letter distances in units of 2^-max_depth: costs[j][i] = d(x_i^{-1}, x_j) (i < j)
+    # and costs[j][j] = d(e, x_j); 1 across signs (the identity included), 0 between
+    # identities, else 2^-k at the first coordinate k where points differ.
     letters = w.letters
-    n = len(letters)
     top = 1 << w.max_depth
-    fix = [top if x.sign else 0 for x in letters]
-    pair = [[0] * n for _ in range(n)]
-    for i, x in enumerate(letters):
-        sign, row = -x.sign, pair[i]
-        for j in range(i + 1, n):
-            y = letters[j]
-            if y.sign != sign:
-                row[j] = top
-            elif sign:
-                k = first_difference(x.point, y.point)
-                row[j] = 0 if k is None else top >> k
-    return top, fix, pair
+    costs = []
+    for j, y in enumerate(letters):
+        sign, column = -y.sign, [top] * j + [top if y.sign else 0]
+        for i, x in enumerate(letters[:j]):
+            if x.sign == sign:
+                k = first_difference(x.point, y.point) if sign else None
+                column[i] = 0 if k is None else top >> k
+        costs.append(column)
+    return top, costs
 
 
 def graev_norm_bruteforce(w: Word) -> NormResult:
@@ -73,38 +71,38 @@ def graev_norm_bruteforce(w: Word) -> NormResult:
     rw = reduce_word(w)
     n = len(rw)
     check_enumeration_cap(n, "brute-forcing a reduced word", ", or use the dynamic program")
-    unit, fix, pair = _unit_costs(rw)
-    costs = match_costs(fix, pair)
-    best = min(costs)
-    return NormResult(Rat(best, unit), unrank_match(n, costs.index(best)))
+    unit, costs = _unit_costs(rw)
+    listed = match_costs(costs)
+    best = min(listed)
+    return NormResult(Rat(best, unit), unrank_match(n, listed.index(best)))
 
 
 def trivial_norm_dp(w: Word) -> NormResult:
     """Minimum rewrite cost of w as spelled (not reduced), by cost_dp on the
     integer letter distances, and the match that matching.match_from_values
     reads back from its value matrix."""
-    unit, fix, pair = _unit_costs(w)
-    row = cost_dp(fix, pair)
-    witness = match_from_values(row, len(fix), lambda i, j, inner: pair[i][j] + inner)
+    unit, costs = _unit_costs(w)
+    row = cost_dp(costs)
+    witness = match_from_values(row, len(costs), lambda i, j, inner: costs[j][i] + inner)
     return NormResult(Rat(row[0][-1], unit), witness)
 
 
-def cost_dp(fix: list[int], pair: list[list[int]]) -> list[list[int]]:
-    """The integer interval DP under trivial_norm_dp and bidistances' per-call cost table:
-    fix[i] costs letter i alone, pair[i][j] (i < j) its pairing with j.  C[i][j] is the
-    least of pairing the ends, pair[i][j] + C[i+1][j-1], and each split C[i][k] + C[k+1][j].
-    Returns the one value matrix: row[i][j] and row[j][i] both hold C[i][j] (i <= j), so
-    row[0][-1] is the word's value.  At j = i + 1, inner[j - 1] is row[i + 1][i], still 0
-    (the empty inner interval) until written below."""
-    n = len(fix)
+def cost_dp(costs: list[list[int]]) -> list[list[int]]:
+    """The integer interval DP under trivial_norm_dp and bidistances, on one lower-
+    triangular letter-cost table: costs[j][j] costs letter j alone, costs[j][i] (i < j)
+    pairing i with j.  C[i][j] is the least of pairing the ends, costs[j][i] + C[i+1][j-1],
+    and each split C[i][k] + C[k+1][j].  Returns the one value matrix: row[i][j] and
+    row[j][i] both hold C[i][j] (i <= j), so row[0][-1] is the word's value.  At j = i + 1,
+    inner[j - 1] is row[i + 1][i], still 0 (the empty inner interval) until written below."""
+    n = len(costs)
     row = [[0] * n for _ in range(n + 1)]  # row n stays 0, so inner binds at i = n - 1
     for i in range(n - 1, -1, -1):
-        here, inner, pair_i = row[i], row[i + 1], pair[i]
-        here[i] = fix[i]
+        here, inner = row[i], row[i + 1]
+        here[i] = costs[i][i]
         for j in range(i + 1, n):
             there = row[j]
             here[j] = there[i] = min(
-                pair_i[j] + inner[j - 1], min(map(add, here[i:j], there[i + 1 : j + 1]))
+                costs[j][i] + inner[j - 1], min(map(add, here[i:j], there[i + 1 : j + 1]))
             )
     return row
 
@@ -117,23 +115,23 @@ def scaled_norm_dp(w: Word, factor: Callable[[Point], Rat]) -> NormResult:
     by L is exact.  Factors and values may be negative.  One value matrix, as in cost_dp,
     and the match that matching.match_from_values reads back from it."""
     n = len(w)
-    unit, fix, pair = _unit_costs(w)
+    unit, costs = _unit_costs(w)
     factors = [1 if x.point is None else factor(x.point) for x in w.letters]
     den = lcm(*(f.denominator for f in factors))
     grow = den ** (n // 2)
     scaled = [f.numerator * (den // f.denominator) for f in factors]  # F_i = factor_i * den
     row = [[0] * n for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
-        here, inner, pair_i, f_i = row[i], row[i + 1], pair[i], scaled[i]
-        here[i] = fix[i] * grow
+        here, inner, f_i = row[i], row[i + 1], scaled[i]
+        here[i] = costs[i][i] * grow
         for j in range(i + 1, n):
             there, r = row[j], inner[j - 1]
             here[j] = there[i] = min(
-                pair_i[j] * grow + max(r * f_i, r * scaled[j]) // den,
+                costs[j][i] * grow + max(r * f_i, r * scaled[j]) // den,
                 min(map(add, here[i:j], there[i + 1 : j + 1])),
             )
     witness = match_from_values(
-        row, n, lambda i, j, r: pair[i][j] * grow + max(r * scaled[i], r * scaled[j]) // den
+        row, n, lambda i, j, r: costs[j][i] * grow + max(r * scaled[i], r * scaled[j]) // den
     )
     return NormResult(Rat(row[0][-1], unit * grow), witness)
 
@@ -141,8 +139,8 @@ def scaled_norm_dp(w: Word, factor: Callable[[Point], Rat]) -> NormResult:
 def graev_norm_dp(w: Word) -> Rat:
     """Same minimum as the brute force, by the interval DP on the reduced
     word.  Uncapped; cubic in the reduced length."""
-    unit, fix, pair = _unit_costs(reduce_word(w))
-    return Rat(cost_dp(fix, pair)[0][-1], unit)
+    unit, costs = _unit_costs(reduce_word(w))
+    return Rat(cost_dp(costs)[0][-1], unit)
 
 
 def graev_distance(u: ReducedWord, v: ReducedWord) -> Rat:
@@ -182,7 +180,7 @@ def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
             numbers.append(i)
         sides[key] = tuple(numbers), tuple(i ^ 1 for i in reversed(numbers))
     top = 1 << max((x.point.depth for x in letters), default=0)
-    costs: dict[tuple[int, int], int] = {}  # (x_i^-1, x_j) -> d(x_i^-1, x_j)
+    pair_costs: dict[tuple[int, int], int] = {}  # (x_i, x_j) -> d(x_i^-1, x_j)
     norms: dict[tuple[int, ...], int] = {(): 0}
 
     def norm(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -194,23 +192,23 @@ def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
         value = norms.get(key)
         if value is not None:
             return value
-        pair = []  # no identity letters, so every letter alone costs the whole unit
-        for i, x in enumerate(key):
-            x ^= 1  # row i pairs x_i^-1 with each later letter
-            row = [0] * (i + 1)
-            for y in key[i + 1 :]:
-                cost = costs.get((x, y))
+        costs = []  # _unit_costs' table for the letters of key
+        for j, y in enumerate(key):
+            column = []
+            for x in key[:j]:
+                cost = pair_costs.get((x, y))
                 if cost is None:  # letter_distance in units of 1 / top
-                    p, q = letters[x], letters[y]
+                    p, q = letters[x ^ 1], letters[y]
                     if p.sign != q.sign:
                         cost = top
                     else:
                         d = first_difference(p.point, q.point)
                         cost = 0 if d is None else top >> d
-                    costs[x, y] = cost
-                row.append(cost)
-            pair.append(row)
-        value = norms[key] = cost_dp([top] * len(key), pair)[0][-1]
+                    pair_costs[x, y] = cost
+                column.append(cost)
+            column.append(top)  # no identity letters, so every letter alone costs the whole unit
+            costs.append(column)
+        value = norms[key] = cost_dp(costs)[0][-1]
         return value
 
     return [Rat(2 * norm(sides[id(u)][1], sides[id(v)][0]), top) for u, v in pairs]

@@ -195,22 +195,22 @@ def unrank_match(length: int, index: int) -> Match:
     return Match(tuple(mp))
 
 
-def match_costs(fix: Sequence[int], pair: Sequence[Sequence[int]]) -> list[int]:
-    """The cost of every match on {0,...,n-1}, n = len(fix), in match_maps order:
-    index k costs unrank_match(n, k), fix[i] for each fixed i plus pair[i][j]
-    for each arc i < j.  costs[a][b] lists [a, b)'s: a fixed, then a paired
+def match_costs(costs: Sequence[Sequence[int]]) -> list[int]:
+    """Every match's cost on {0,...,n-1}, n = len(costs), in match_maps order, from a
+    lower-triangular table: index k costs unrank_match(n, k), costs[i][i] per fixed i
+    plus costs[j][i] per arc i < j.  lists[a][b] holds [a, b)'s: a fixed, then a paired
     with each j = a+1..b-1, inside matches outer, outside matches inner."""
-    n = len(fix)
-    costs = [[[0]] * (n + 1) for _ in range(n + 1)]  # costs[a][a] = [0], the empty match
+    n = len(costs)
+    lists = [[[0]] * (n + 1) for _ in range(n + 1)]  # lists[a][a] = [0], the empty match
     for a in range(n - 1, -1, -1):
-        here, inner, fix_a, pair_a = costs[a], costs[a + 1], fix[a], pair[a]
+        here, inner, fix_a = lists[a], lists[a + 1], costs[a][a]
         for b in range(a + 1, n + 1):
             block = [fix_a + c for c in inner[b]]
             for j in range(a + 1, b):
-                outside, pair_aj = costs[j + 1][b], pair_a[j]
+                outside, pair_aj = lists[j + 1][b], costs[j][a]
                 block += [pair_aj + ci + co for ci in inner[j] for co in outside]
             here[b] = block
-    return costs[0][n]
+    return lists[0][n]
 
 
 def apply_match(w: Word, theta: Match) -> Word:

@@ -22,7 +22,7 @@ from itertools import islice
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ResourceLimitError, digit_limit, digit_limit_error
+from .errors import ResourceLimitError, digit_limit, digit_limit_error, text_lines
 from .freegroup import (
     IDENTITY,
     Letter,
@@ -103,22 +103,21 @@ def load_scale_file(path: str) -> Scale:
     The file is not vetted here; run the axiom checker to certify it.
     """
     entries: dict[int, Rat] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected '<index> = <rational>'")
-            left, right = line.split("=", 1)
-            where = f"{path}:{lineno}"
-            index = _file_number(int, left.strip(), where, "coordinate index")
-            value = _file_number(Rat, right.strip(), where, "coefficient")
-            if index < 0:
-                raise ValueError(f"{path}:{lineno}: coordinate index must be >= 0")
-            if index in entries:
-                raise ValueError(f"{path}:{lineno}: duplicate coordinate {index}")
-            entries[index] = value
+    for lineno, raw in enumerate(text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected '<index> = <rational>'")
+        left, right = line.split("=", 1)
+        where = f"{path}:{lineno}"
+        index = _file_number(int, left.strip(), where, "coordinate index")
+        value = _file_number(Rat, right.strip(), where, "coefficient")
+        if index < 0:
+            raise ValueError(f"{path}:{lineno}: coordinate index must be >= 0")
+        if index in entries:
+            raise ValueError(f"{path}:{lineno}: duplicate coordinate {index}")
+        entries[index] = value
     return weighted_scale(entries, name=f"file:{path}")
 
 

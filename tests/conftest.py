@@ -34,6 +34,12 @@ def random_raw_word(rng: random.Random, length: int) -> Word:
     return Word(tuple(rng.choice(RAW_LETTERS) for _ in range(length)))
 
 
+def one_table(fix, pair):
+    """Fold square tables, fix[j] for letter j alone and pair[i][j] (i < j) for
+    pairing i with j, into the kernels' lower-triangular costs[j][i]."""
+    return [[pair[i][j] for i in range(j)] + [fix[j]] for j in range(len(fix))]
+
+
 def factor_scales(tmp_path):
     """Every kind of scale with a factor: weighted and file scales with
     nonnegative, negative (factors 0 and below 0), non-dyadic, far-index

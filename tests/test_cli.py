@@ -441,6 +441,47 @@ def test_missing_corpus_file_exits_2(capsys):
     assert "error" in err
 
 
+def test_verify_refuses_flags_it_would_ignore(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("[1]\n[2]\n")
+    for suite in ("discreteness", "lipschitz"):
+        for scale in ("trivial", "weighted"):
+            argv = ("verify", "--suite", suite, "--level", "1", "--scale", scale)
+            assert run(capsys, *argv) == (2, "", f"error: --suite {suite} takes no --scale\n")
+        argv = ("verify", "--suite", suite, "--cases", "3", "--corpus", str(corpus))
+        assert run(capsys, *argv) == (2, "", "error: --cases cannot be given with --corpus\n")
+        argv = ("verify", "--suite", suite, "--cases", "0", "--corpus", str(corpus))
+        assert run(capsys, *argv)[0] == 0
+    for suite in ("extension", "scale-axioms"):
+        for flag, value in (("--corpus", str(corpus)), ("--cases", "3")):
+            argv = ("verify", "--suite", suite, "--level", "1", flag, value)
+            assert run(capsys, *argv) == (2, "", f"error: --suite {suite} takes no {flag}\n")
+        argv = ("verify", "--suite", suite, "--level", "1", "--cases", "0", "--seed", "5")
+        assert run(capsys, *argv)[0] == 0
+
+
+def test_non_utf8_corpus_exits_2_naming_the_line(capsys, tmp_path):
+    # the bad byte sits far past the first read buffer, after a valid non-ASCII comment
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes("[1]  # café\n".encode() + b"[2]\n" * 3000 + b"[1] \xff[2]\n[3]\n")
+    for suite in ("discreteness", "lipschitz"):
+        argv = ("verify", "--suite", suite, "--level", "1", "--corpus", str(corpus))
+        assert run(capsys, *argv) == (2, "", f"error: {corpus}:3002: byte 0xff is not UTF-8\n")
+    corpus.write_bytes("[1]  # café\n[2]\n".encode())
+    argv = ("verify", "--suite", "discreteness", "--level", "2", "--corpus", str(corpus))
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_non_utf8_scale_file_exits_2_naming_the_line(capsys, tmp_path):
+    path = tmp_path / "bad.scale"
+    path.write_bytes("# coefficients, één per line\n0 = 1/2\n".encode() + b"1 = 1/\xfe3\n")
+    for argv in (
+        ("norm", "--scale", f"file:{path}", "--budget", "0", "[1]"),
+        ("verify", "--suite", "scale-axioms", "--scale", f"file:{path}"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {path}:3: byte 0xfe is not UTF-8\n")
+
+
 # --- corpus parsing ------------------------------------------------------------------
 
 

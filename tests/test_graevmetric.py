@@ -40,7 +40,7 @@ from graev.matching import Match, apply_match, is_match, match_from_values, matc
 from graev.sampling import exhaustive_reduced_words, sample_match, sample_reduced_word
 from graev.scales import TRIVIAL_SCALE, norm_theta_min
 
-from conftest import ALPHA3, DEEP_POINTS, factor_scales, random_raw_word
+from conftest import ALPHA3, DEEP_POINTS, factor_scales, one_table, random_raw_word
 from test_matching import match_from_choices
 
 
@@ -227,6 +227,39 @@ def test_bidistances_equal_graev_bidistance():
     assert bidistances([]) == []
 
 
+def square_unit_costs(w):
+    """The square tables of the two-table references, read off letter_distance:
+    fix[i] = d(e, x_i) and pair[i][j] = d(x_i^{-1}, x_j), in units of 1/top."""
+    top = 1 << w.max_depth
+
+    def units(a, b):
+        d = letter_distance(a, b) * top
+        assert d.denominator == 1, (a, b)
+        return d.numerator
+
+    fix = [units(IDENTITY, x) for x in w.letters]
+    pair = [[units(x.inverse(), y) for y in w.letters] for x in w.letters]
+    return top, fix, pair
+
+
+def test_unit_costs_equal_letter_distance():
+    # column j holds letters 0..j, entry by entry the letter distance in units of
+    # 1/top, on raw words with identity letters, repeats and points up to depth 6
+    rng = random.Random(83)
+    points = [Point(tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 6)))) for _ in range(4)]
+    points += [Point((1, 0, 2, 0, 0, 1)), Point((1, 0, 2, 0, 0, 2))]  # first differ at 5
+    letters = [Letter(s, p) for p in points for s in (1, -1)] + [IDENTITY]
+    for _ in range(300):
+        w = Word(tuple(rng.choice(letters) for _ in range(rng.randint(1, 12))))
+        top, costs = _unit_costs(w)
+        assert top == 1 << w.max_depth
+        assert [len(column) for column in costs] == list(range(1, len(w) + 1)), w
+        for j, y in enumerate(w.letters):
+            assert costs[j][j] == letter_distance(IDENTITY, y) * top, w
+            for i, x in enumerate(w.letters[:j]):
+                assert costs[j][i] == letter_distance(x.inverse(), y) * top, (w, i, j)
+
+
 def two_table_cost_dp(fix, pair):
     """The trivial interval DP with a separate column table, col[j][i] =
     C[i][j]: the reference for cost_dp's one-matrix layout, value and
@@ -255,7 +288,7 @@ def two_table_scaled_norm_dp(w, factor):
     reference for scaled_norm_dp's one-matrix layout, value and every
     choice."""
     n = len(w)
-    unit, fix, pair = _unit_costs(w)
+    unit, fix, pair = square_unit_costs(w)
     factors = [1 if x.point is None else factor(x.point) for x in w.letters]
     den = lcm(*(f.denominator for f in factors))
     grow = den ** (n // 2)
@@ -278,9 +311,9 @@ def two_table_scaled_norm_dp(w, factor):
     return F(row[0][n - 1], unit * grow), choice
 
 
-def counted_ends(pair, calls):
+def counted_ends(costs, calls):
     """cost_dp's pair term, for match_from_values, appending to calls once per call."""
-    return lambda i, j, inner: calls.append((i, j)) or pair[i][j] + inner
+    return lambda i, j, inner: calls.append((i, j)) or costs[j][i] + inner
 
 
 def test_cost_dp_equals_two_table_loop():
@@ -293,37 +326,38 @@ def test_cost_dp_equals_two_table_loop():
         for _ in range(150):
             fix = [rng.randint(0, 2) for _ in range(n)]
             pair = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
-            before = [fix[:], [r[:] for r in pair]]
+            costs = one_table(fix, pair)
+            before = [fix[:], [r[:] for r in pair], [c[:] for c in costs]]
             value, choice = two_table_cost_dp(fix, pair)
-            row, calls = cost_dp(fix, pair), []
-            witness = match_from_values(row, n, counted_ends(pair, calls))
+            row, calls = cost_dp(costs), []
+            witness = match_from_values(row, n, counted_ends(costs, calls))
             assert (row[0][-1], witness) == (value, match_from_choices(choice, n)), (fix, pair)
             assert len(calls) <= n - 1
-            assert [fix, pair] == before
+            assert [fix, pair, costs] == before
 
 
 def test_witness_read_back_costs_pair_terms_only_at_ties():
     # a pair term is costed only where a split reaches the interval's value:
     # never on a word whose optimum only nests pairs with no split at its value
     # on the way, and at most once per interval the walk visits, n - 1 in all
-    _, fix, pair = _unit_costs(word(pos(1), pos(2), neg(2), neg(1)))
+    _, costs = _unit_costs(word(pos(1), pos(2), neg(2), neg(1)))
     calls = []
-    assert match_from_values(cost_dp(fix, pair), 4, counted_ends(pair, calls)).map == (3, 2, 1, 0)
+    assert match_from_values(cost_dp(costs), 4, counted_ends(costs, calls)).map == (3, 2, 1, 0)
     assert calls == []
     rng = random.Random(73)
     for _ in range(2000):
         w = random_raw_word(rng, rng.randint(1, 14))
-        _, fix, pair = _unit_costs(w)
+        _, costs = _unit_costs(w)
         calls = []
-        witness = match_from_values(cost_dp(fix, pair), len(w), counted_ends(pair, calls))
+        witness = match_from_values(cost_dp(costs), len(w), counted_ends(costs, calls))
         assert witness == trivial_norm_dp(w).witness, w
         assert len(calls) <= len(w) - 1, w
 
 
 def test_trivial_witness_dp_memory_pin():
     # over [0], [0]^-1 and e every cost and value is a cached small int, so
-    # the peak counts list slots: the value matrix and _unit_costs' pair
-    # table, 2 * 8n^2 bytes, and not a third n x n table
+    # the peak counts list slots: the value matrix and one triangular cost
+    # table, 1.5 * 8n^2 bytes, and no square cost table or third n x n table
     rng = random.Random(79)
     n = 200
     w = Word(tuple(rng.choice((pos(0), neg(0), IDENTITY)) for _ in range(n)))
@@ -333,7 +367,7 @@ def test_trivial_witness_dp_memory_pin():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * n * n, peak / (8 * n * n)
+    assert peak < 1.9 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_scaled_norm_dp_equals_two_table_loop(tmp_path):

@@ -285,7 +285,14 @@ def test_suites_norm_each_distinct_product_once(monkeypatch):
     # pairs a suite hands to bidistances, and none for uv^{-1}
     calls = []
     kernel = graevmetric.cost_dp
-    monkeypatch.setattr(graevmetric, "cost_dp", lambda *tables: calls.append(1) or kernel(*tables))
+
+    def counted(costs):
+        # the one lower-triangular table: column j holds letters 0..j
+        assert [len(column) for column in costs] == list(range(1, len(costs) + 1))
+        calls.append(1)
+        return kernel(costs)
+
+    monkeypatch.setattr(graevmetric, "cost_dp", counted)
 
     def products(pairs):
         return {multiply(invert(u), v) for u, v in pairs} - {IDENTITY_WORD}
