@@ -62,26 +62,30 @@ class CorpusSyntaxError(ValueError):
         self.column = column
 
 
-def parse_corpus(source: str | Iterable[str]) -> list[ReducedWord]:
+def parse_corpus(source: str | Iterable[str], max_depth: int | None = None) -> list[ReducedWord]:
     """One word per line in the word grammar, "#" comments allowed; every
-    line is parsed and reduced.  An empty file is a valid empty corpus."""
-    if isinstance(source, str):
-        return parse_corpus(text_lines(source))
+    line is parsed and reduced.  An empty file is a valid empty corpus.
+    Errors start "<path>:<line>:" ("line <line>:" for a stream), and a
+    reduced word deeper than max_depth is one."""
+    name = f"{source}:" if isinstance(source, str) else "line "
+    lines = text_lines(source) if isinstance(source, str) else source
     words: list[ReducedWord] = []
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         content = raw.split("#", 1)[0].rstrip("\n")
         if not content.strip():
             continue
         try:
-            words.append(reduce_word(parse_word(content)))
+            w = reduce_word(parse_word(content))
         except WordSyntaxError as exc:
-            raise CorpusSyntaxError(
-                f"line {lineno}, column {exc.position + 1}: {exc}",
-                lineno,
-                exc.position + 1,
-            ) from None
+            raise CorpusSyntaxError(f"{name}{lineno}: {exc}", lineno, exc.position + 1) from None
         except ResourceLimitError as exc:
-            raise ResourceLimitError(f"line {lineno}: {exc}") from None
+            raise ResourceLimitError(f"{name}{lineno}: {exc}") from None
+        if max_depth is not None and w.max_depth > max_depth:
+            raise ValueError(
+                f"{name}{lineno}: corpus word {format_word(w)} has depth {w.max_depth} > "
+                f"level {max_depth}"
+            )
+        words.append(w)
     return words
 
 
@@ -214,9 +218,11 @@ def _cmd_seplevel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_or_default_corpus(args: argparse.Namespace, level: int) -> list[Word]:
+def _load_or_default_corpus(
+    args: argparse.Namespace, level: int, max_depth: int | None = None
+) -> list[Word]:
     if args.corpus is not None:
-        return parse_corpus(args.corpus)
+        return parse_corpus(args.corpus, max_depth)
     points = _default_points(level)
     if args.cases:
         rng = random.Random(args.seed)
@@ -238,7 +244,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "discreteness":
         if args.corpus is None:  # the default points are level deep
             check_bound_digits(args.level)
-        corpus = _load_or_default_corpus(args, args.level)
+        corpus = _load_or_default_corpus(args, args.level, max_depth=args.level)
         report = check_discreteness(args.level, corpus)
         report.parameters["source"] = args.corpus or ("random" if args.cases else "exhaustive")
     elif args.suite == "lipschitz":

@@ -3,7 +3,8 @@
 Two independent routes compute the same minimum-cost rewriting over
 non-crossing matchings: explicit enumeration (the permanent oracle, under
 matching.check_enumeration_cap because match counts grow like Motzkin
-numbers) and a cubic interval dynamic program (the uncapped scalable path)
+numbers) and an interval dynamic program (the uncapped scalable path, still
+cubic in the worst case though cost_dp splits only after closed blocks)
 whose value matrix also yields a minimizing match, read back by
 matching.match_from_values.  The enumeration takes the cost of
 every match from matching.match_costs, not the matches, and unranks only
@@ -90,20 +91,25 @@ def trivial_norm_dp(w: Word) -> NormResult:
 def cost_dp(costs: list[list[int]]) -> list[list[int]]:
     """The integer interval DP under trivial_norm_dp and bidistances, on one lower-
     triangular letter-cost table: costs[j][j] costs letter j alone, costs[j][i] (i < j)
-    pairing i with j.  C[i][j] is the least of pairing the ends, costs[j][i] + C[i+1][j-1],
-    and each split C[i][k] + C[k+1][j].  Returns the one value matrix: row[i][j] and
-    row[j][i] both hold C[i][j] (i <= j), so row[0][-1] is the word's value.  At j = i + 1,
-    inner[j - 1] is row[i + 1][i], still 0 (the empty inner interval) until written below."""
+    pairing i with j.  C[i][j] is the least of the pair term costs[j][i] + C[i+1][j-1] and
+    the splits C[i][k] + C[k+1][j] at k = i and after each closed [i, k], one whose pair
+    term is strictly below all its splits.  Exact: if an open [i, k] splits best at k',
+    C[i][k] + C[k+1][j] >= C[i][k'] + C[k'+1][j] as C[k'+1][j] <= C[k'+1][k] + C[k+1][j].  Row i
+    starts as the splits at i and each closed [i, j] pushes its own along it; still cubic
+    in the worst case.  Returns row, row[i][j] = C[i][j] for i <= j, row[0][-1] the value;
+    the lower triangle and row n stay 0: the empty interval, and C[i][j] + 0 in a push at j."""
     n = len(costs)
-    row = [[0] * n for _ in range(n + 1)]  # row n stays 0, so inner binds at i = n - 1
+    row = [[0] * n for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
-        here, inner = row[i], row[i + 1]
-        here[i] = costs[i][i]
-        for j in range(i + 1, n):
-            there = row[j]
-            here[j] = there[i] = min(
-                costs[j][i] + inner[j - 1], min(map(add, here[i:j], there[i + 1 : j + 1]))
-            )
+        here, inner, alone = row[i], row[i + 1], costs[i][i]
+        here[i:] = [alone + c for c in inner[i:]]
+        for j in range(i + 1, n - 1):
+            v = costs[j][i] + inner[j - 1]  # the pair term
+            if v < here[j]:  # [i, j] is closed
+                here[j:] = [a if a < v + b else v + b for a, b in zip(here[j:], row[j + 1][j:])]
+        v = costs[-1][i] + inner[n - 2]  # the last column has nothing left to push into
+        if v < here[-1]:
+            here[-1] = v
     return row
 
 

@@ -281,7 +281,7 @@ def test_over_long_coordinates_exit_3_naming_the_column(capsys, tmp_path, defaul
         capsys, "verify", "--suite", "discreteness", "--level", "1", "--corpus", str(path)
     )
     assert (code, out) == (3, "")
-    assert err.startswith("error: line 2: the natural number at column 8 has more than")
+    assert err.startswith(f"error: {path}:2: the natural number at column 8 has more than")
 
 
 def test_over_long_scale_file_entries_exit_3_naming_the_line(
@@ -390,13 +390,13 @@ def test_huge_levels_keep_corpus_errors_first(capsys, tmp_path, default_digit_li
         assert run(capsys, *verify, "1000000000000", "--suite", suite) == (
             2,
             "",
-            "error: line 2, column 3: expected ',' or ']' at column 3, found 'end of input'\n",
+            f"error: {corpus}:2: expected ',' or ']' at column 3, found 'end of input'\n",
         )
     assert time.perf_counter() - start < 1
     corpus.write_text(f"[1]\n[{'0,' * 14285}1]\n")  # depth 14286
     code, out, err = run(capsys, *verify, "14285", "--suite", "discreteness")
     assert (code, out) == (2, "")
-    assert err.startswith("error: corpus word [0,0,") and err.endswith(
+    assert err.startswith(f"error: {corpus}:2: corpus word [0,0,") and err.endswith(
         "1] has depth 14286 > level 14285\n"
     )
 
@@ -502,6 +502,31 @@ def test_parse_corpus_error_names_line_and_column():
     assert exc.value.line == 2
     assert exc.value.column == 5
     assert "line 2" in str(exc.value)
+
+
+def test_corpus_errors_name_the_file_and_line(capsys, tmp_path):
+    # syntax and depth errors start "<path>:<line>:" like the scale-file ones;
+    # only the discreteness suite bounds the depth, and the first bad line wins
+    path = tmp_path / "c.txt"
+    verify = ("verify", "--level", "1", "--corpus", str(path), "--suite")
+    path.write_text("[1]\n# comment\n\n[1] [2 ]\n")
+    for suite in ("discreteness", "lipschitz"):
+        assert run(capsys, *verify, suite) == (
+            2,
+            "",
+            f"error: {path}:4: expected ',' or ']' at column 7, found ' '\n",
+        )
+    path.write_text("[1]\n[1,2,3,4] [1,2,3,4]^-1\n[2]\n[1,2,3,4]\n[2\n")
+    assert run(capsys, *verify, "discreteness") == (
+        2,
+        "",
+        f"error: {path}:4: corpus word [1,2,3,4] has depth 4 > level 1\n",
+    )
+    path.write_text("[1]\n[1,2,3,4]\n")
+    code, out, err = run(capsys, *verify, "lipschitz")
+    assert (code, err) == (0, "") and "failed: 0" in out
+    with pytest.raises(ValueError, match=r"^line 2: corpus word \[1,2\] has depth 2 > level 1$"):
+        parse_corpus(io.StringIO("[1]\n[1,2]\n"), max_depth=1)
 
 
 def test_parse_corpus_rejects_non_decimal_digits():

@@ -354,6 +354,62 @@ def test_witness_read_back_costs_pair_terms_only_at_ties():
         assert len(calls) <= len(w) - 1, w
 
 
+def long_word_families(rng):
+    """Seeded words of 20-60 letters, one family per kind of letter-cost table:
+    raw words with identity letters, points sharing the deep prefix (1,1,1,1,1),
+    letters of one sign, nested conjugates x_1...x_k c x_k^-1...x_1^-1, and
+    points of depth 10 over {0, 1}."""
+    prefix = [Point((1, 1, 1, 1, 1, k)) for k in range(4)]
+    binary = [Point(tuple(rng.randint(0, 1) for _ in range(10))) for _ in range(12)]
+
+    def signed(points, n, signs=(1, -1)):
+        return [Letter(rng.choice(signs), rng.choice(points)) for _ in range(n)]
+
+    for n in (20, 33, 47, 60):
+        k = rng.randint(8, (n - 1) // 2)  # the conjugator's length
+        outer = signed(DEEP_POINTS, k)
+        inner = signed(DEEP_POINTS, n - 2 * k)
+        yield "raw", random_raw_word(rng, n)
+        yield "prefix", Word(tuple(signed(prefix, n)))
+        yield "one sign", Word(tuple(signed(DEEP_POINTS, n, (rng.choice((1, -1)),))))
+        yield "nested", Word(tuple(outer + inner + [x.inverse() for x in reversed(outer)]))
+        yield "binary", Word(tuple(signed(binary, n)))
+
+
+def test_cost_dp_equals_two_table_loop_on_long_words():
+    # the closed-block splits reach the full split search's values and witness
+    # on the letter-cost tables words produce, far past the lengths above
+    rng = random.Random(89)
+    for _ in range(5):
+        for family, w in long_word_families(rng):
+            _, costs = _unit_costs(w)
+            _, fix, pair = square_unit_costs(w)
+            n = len(costs)
+            value, choice = two_table_cost_dp(fix, pair)
+            row, calls = cost_dp(costs), []
+            witness = match_from_values(row, n, counted_ends(costs, calls))
+            assert (row[0][-1], witness) == (value, match_from_choices(choice, n)), (family, w)
+            assert len(calls) <= n - 1
+
+
+def test_witness_read_back_never_reads_the_lower_triangle():
+    # match_from_values reads row[i][j] for i <= j < n only: with every other
+    # slot of cost_dp's matrix None, it returns the same witness with the same
+    # pair-term calls
+    rng = random.Random(97)
+    for _ in range(300):
+        w = random_raw_word(rng, rng.randint(1, 24))
+        _, costs = _unit_costs(w)
+        n = len(costs)
+        row, calls = cost_dp(costs), []
+        witness = match_from_values(row, n, counted_ends(costs, calls))
+        for j, values in enumerate(row):
+            values[: min(j, n)] = [None] * min(j, n)
+        blanked_calls = []
+        assert match_from_values(row, n, counted_ends(costs, blanked_calls)) == witness, w
+        assert blanked_calls == calls, w
+
+
 def test_trivial_witness_dp_memory_pin():
     # over [0], [0]^-1 and e every cost and value is a cached small int, so
     # the peak counts list slots: the value matrix and one triangular cost
