@@ -4,23 +4,23 @@ Two independent routes compute the same minimum-cost rewriting over
 non-crossing matchings: explicit enumeration (the permanent oracle, under
 matching.check_enumeration_cap because match counts grow like Motzkin
 numbers) and an interval dynamic program (the uncapped scalable path, still
-cubic in the worst case though cost_dp splits only after closed blocks)
-whose value matrix also yields a minimizing match, read back by
-matching.match_from_values.  The enumeration takes the cost of
-every match from matching.match_costs, not the matches, and unranks only
-the witness.  Both run on exact integers in units of 2^-max_depth, since
-every letter distance is a multiple of it, from one lower-triangular table
-per word: costs[j][i] = d(x_i^{-1}, x_j) pairs i < j, costs[j][j] = d(e, x_j)
-leaves j alone.  bidistances, the verify suites' route, builds that table for
-the DP's loop, cost_dp, from one letter-pair memo per call, and norms one
-product per pair, since the trivial-scale metric is two-sided invariant.
+cubic in the worst case though it splits only after closed blocks: cost_dp
+for the trivial scale, ends_dp with the caller's pair term for every other)
+whose one value matrix, with no column copy, also yields a minimizing match,
+read back by matching.match_from_values.  The enumeration takes the cost of
+every match from matching.match_costs, not the matches, and unranks only the
+witness.  Both run on exact integers in units of 2^-max_depth, since every
+letter distance is a multiple of it, from one lower-triangular table per
+word: costs[j][i] = d(x_i^{-1}, x_j) pairs i < j, costs[j][j] = d(e, x_j)
+leaves j alone.  bidistances, the verify suites' route, builds that table
+for the DP's loop, cost_dp, from one letter-pair memo per call, and norms
+one product per pair, since the trivial-scale metric is two-sided invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from operator import add
 from typing import Callable
 
 from .freegroup import (
@@ -113,33 +113,40 @@ def cost_dp(costs: list[list[int]]) -> list[list[int]]:
     return row
 
 
+def ends_dp(alone: list, ends: Callable) -> tuple:
+    """cost_dp's closed-block loop, exact for any values, with C[i][i] = alone[i] and the
+    caller's pair term ends(i, j, C[i+1][j-1]), one call per cell i < j.  The empty interval
+    (lower triangle, row n) is alone[0] * 0, in the caller's number type.  Returns C[0][n-1]
+    and the match that matching.match_from_values reads back with the same ends."""
+    n = len(alone)
+    row = [[alone[0] * 0] * n for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        here, inner, a = row[i], row[i + 1], alone[i]
+        here[i:] = [a + c for c in inner[i:]]
+        for j in range(i + 1, n):
+            v = ends(i, j, inner[j - 1])
+            if v < here[j]:  # [i, j] is closed
+                here[j:] = [b if b < v + c else v + c for b, c in zip(here[j:], row[j + 1][j:])]
+    return row[0][-1], match_from_values(row, n, ends)
+
+
 def scaled_norm_dp(w: Word, factor: Callable[[Point], Rat]) -> NormResult:
     """trivial_norm_dp for a multiplicative scale, scale(x, r) = r * factor(x.point) off
     the identity: the ends pay d(x_i^{-1}, x_j) + max(r F_i, r F_j), r the inner value.
     Integers in units of 2^-max_depth * L^-floor(n/2), L the lcm of the factors'
     denominators: an interval of length m nests at most floor(m/2) factors, so the division
-    by L is exact.  Factors and values may be negative.  One value matrix, as in cost_dp,
-    and the match that matching.match_from_values reads back from it."""
-    n = len(w)
+    by L is exact.  Factors and values may be negative.  ends_dp runs that pair term."""
     unit, costs = _unit_costs(w)
     factors = [1 if x.point is None else factor(x.point) for x in w.letters]
     den = lcm(*(f.denominator for f in factors))
-    grow = den ** (n // 2)
+    grow = den ** (len(w) // 2)
     scaled = [f.numerator * (den // f.denominator) for f in factors]  # F_i = factor_i * den
-    row = [[0] * n for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        here, inner, f_i = row[i], row[i + 1], scaled[i]
-        here[i] = costs[i][i] * grow
-        for j in range(i + 1, n):
-            there, r = row[j], inner[j - 1]
-            here[j] = there[i] = min(
-                costs[j][i] * grow + max(r * f_i, r * scaled[j]) // den,
-                min(map(add, here[i:j], there[i + 1 : j + 1])),
-            )
-    witness = match_from_values(
-        row, n, lambda i, j, r: costs[j][i] * grow + max(r * scaled[i], r * scaled[j]) // den
-    )
-    return NormResult(Rat(row[0][-1], unit * grow), witness)
+
+    def ends(i: int, j: int, r: int) -> int:
+        return costs[j][i] * grow + max(r * scaled[i], r * scaled[j]) // den
+
+    value, witness = ends_dp([column[-1] * grow for column in costs], ends)
+    return NormResult(Rat(value, unit * grow), witness)
 
 
 def graev_norm_dp(w: Word) -> Rat:

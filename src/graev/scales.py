@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError, digit_limit, digit_limit_error, text_lines
@@ -39,8 +38,8 @@ from .freegroup import (
     multiply,
     reduce_word,
 )
-from .graevmetric import NormResult, graev_norm_dp, scaled_norm_dp, trivial_norm_dp
-from .matching import Match, is_match, match_from_values
+from .graevmetric import NormResult, ends_dp, graev_norm_dp, scaled_norm_dp, trivial_norm_dp
+from .matching import Match, is_match
 from .reports import CheckCase, VerificationReport
 
 
@@ -185,27 +184,21 @@ def norm_theta_min(w: Word, scale: Scale) -> NormResult:
 
     The pair-ends branch may take the minimal inner value because scales
     are monotone in their second argument.  The input word is used as
-    given (it is not reduced).  The trivial scale and scales with a factor
-    run it on integers in graevmetric; other scales run this Fraction loop.
+    given (it is not reduced).  The trivial scale runs graevmetric.cost_dp;
+    every other scale runs its closed-block loop ends_dp: with integers in
+    scaled_norm_dp for a scale with a factor, else here with Fractions.
     """
     if scale is TRIVIAL_SCALE:
         return trivial_norm_dp(w)
     if scale.factor is not None:
         return scaled_norm_dp(w, scale.factor)
-    ls, n = w.letters, len(w)
+    ls = w.letters
 
     def ends(i: int, j: int, inner: Rat) -> Rat:
         x, y = ls[i].inverse(), ls[j]
         return letter_distance(x, y) + max(scale(x, inner), scale(y, inner))
 
-    val: list[list[Rat]] = [[ZERO] * n for _ in range(n)]  # val[i][j] = val[j][i] = C[i][j]
-    for i in range(n - 1, -1, -1):
-        here = val[i]
-        here[i] = letter_distance(IDENTITY, ls[i])
-        for j in range(i + 1, n):  # val[i + 1][i] is ZERO, the empty inner, until written
-            splits = map(add, here[i:j], val[j][i + 1 : j + 1])
-            here[j] = val[j][i] = min(ends(i, j, val[i + 1][j - 1]), *splits)
-    return NormResult(val[0][n - 1], match_from_values(val, n, ends))
+    return NormResult(*ends_dp([letter_distance(IDENTITY, x) for x in ls], ends))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,28 @@ def one_table(fix, pair):
     return [[pair[i][j] for i in range(j)] + [fix[j]] for j in range(len(fix))]
 
 
+def long_word_families(rng):
+    """Seeded words of 20-60 letters, one family per kind of letter-cost table:
+    raw words with identity letters, points sharing the deep prefix (1,1,1,1,1),
+    letters of one sign, nested conjugates x_1...x_k c x_k^-1...x_1^-1, and
+    points of depth 10 over {0, 1}."""
+    prefix = [Point((1, 1, 1, 1, 1, k)) for k in range(4)]
+    binary = [Point(tuple(rng.randint(0, 1) for _ in range(10))) for _ in range(12)]
+
+    def signed(points, n, signs=(1, -1)):
+        return [Letter(rng.choice(signs), rng.choice(points)) for _ in range(n)]
+
+    for n in (20, 33, 47, 60):
+        k = rng.randint(8, (n - 1) // 2)  # the conjugator's length
+        outer = signed(DEEP_POINTS, k)
+        inner = signed(DEEP_POINTS, n - 2 * k)
+        yield "raw", random_raw_word(rng, n)
+        yield "prefix", Word(tuple(signed(prefix, n)))
+        yield "one sign", Word(tuple(signed(DEEP_POINTS, n, (rng.choice((1, -1)),))))
+        yield "nested", Word(tuple(outer + inner + [x.inverse() for x in reversed(outer)]))
+        yield "binary", Word(tuple(signed(binary, n)))
+
+
 def factor_scales(tmp_path):
     """Every kind of scale with a factor: weighted and file scales with
     nonnegative, negative (factors 0 and below 0), non-dyadic, far-index

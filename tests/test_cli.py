@@ -5,6 +5,8 @@ import json
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -108,6 +110,25 @@ def test_seplevel_fixtures(capsys):
     assert (code, out) == (0, "3\n")
     code, out, _ = run(capsys, "seplevel", "e", "e")
     assert (code, out) == (0, "equal\n")
+
+
+def test_readme_cli_block_values(capsys):
+    # each line of README's CLI block whose comment, or comment-only
+    # continuation line, gives a value prints that value as its first line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    value = re.compile(r"lower \S+ upper \S+|\d+(/\d+)?|\[[\d,]*\]")
+    checked, argv = [], None
+    for line in block.splitlines():
+        command, _, comment = line.partition(" # ")
+        if command.strip():
+            argv = shlex.split(command)[1:]  # drop "graev"
+        expected = re.sub(r"\s*\(.*\)$", "", comment.strip())
+        if value.fullmatch(expected):
+            code, out, _ = run(capsys, *argv)
+            assert (code, out.splitlines()[0]) == (0, expected), argv
+            checked.append(expected)
+    assert checked == ["1/1", "lower 1/1 upper 5/4", "1/1", "9", "[1,2]", "3"]
 
 
 def test_seplevel_deep_points_bisect(capsys, monkeypatch):

@@ -40,7 +40,14 @@ from graev.matching import Match, apply_match, is_match, match_from_values, matc
 from graev.sampling import exhaustive_reduced_words, sample_match, sample_reduced_word
 from graev.scales import TRIVIAL_SCALE, norm_theta_min
 
-from conftest import ALPHA3, DEEP_POINTS, factor_scales, one_table, random_raw_word
+from conftest import (
+    ALPHA3,
+    DEEP_POINTS,
+    factor_scales,
+    long_word_families,
+    one_table,
+    random_raw_word,
+)
 from test_matching import match_from_choices
 
 
@@ -354,28 +361,6 @@ def test_witness_read_back_costs_pair_terms_only_at_ties():
         assert len(calls) <= len(w) - 1, w
 
 
-def long_word_families(rng):
-    """Seeded words of 20-60 letters, one family per kind of letter-cost table:
-    raw words with identity letters, points sharing the deep prefix (1,1,1,1,1),
-    letters of one sign, nested conjugates x_1...x_k c x_k^-1...x_1^-1, and
-    points of depth 10 over {0, 1}."""
-    prefix = [Point((1, 1, 1, 1, 1, k)) for k in range(4)]
-    binary = [Point(tuple(rng.randint(0, 1) for _ in range(10))) for _ in range(12)]
-
-    def signed(points, n, signs=(1, -1)):
-        return [Letter(rng.choice(signs), rng.choice(points)) for _ in range(n)]
-
-    for n in (20, 33, 47, 60):
-        k = rng.randint(8, (n - 1) // 2)  # the conjugator's length
-        outer = signed(DEEP_POINTS, k)
-        inner = signed(DEEP_POINTS, n - 2 * k)
-        yield "raw", random_raw_word(rng, n)
-        yield "prefix", Word(tuple(signed(prefix, n)))
-        yield "one sign", Word(tuple(signed(DEEP_POINTS, n, (rng.choice((1, -1)),))))
-        yield "nested", Word(tuple(outer + inner + [x.inverse() for x in reversed(outer)]))
-        yield "binary", Word(tuple(signed(binary, n)))
-
-
 def test_cost_dp_equals_two_table_loop_on_long_words():
     # the closed-block splits reach the full split search's values and witness
     # on the letter-cost tables words produce, far past the lengths above
@@ -427,10 +412,13 @@ def test_trivial_witness_dp_memory_pin():
 
 
 def test_scaled_norm_dp_equals_two_table_loop(tmp_path):
+    # up to 12 letters the closed-block rule rarely skips a split, so words of
+    # 20-60 letters from every letter-cost family run under every scale too
     rng = random.Random(67)
+    long_words = [w for _, w in long_word_families(random.Random(83))]
     for scale in factor_scales(tmp_path):
-        for _ in range(150):
-            w = random_raw_word(rng, rng.randint(1, 12))
+        short_words = [random_raw_word(rng, rng.randint(1, 12)) for _ in range(150)]
+        for w in short_words + long_words:
             value, choice = two_table_scaled_norm_dp(w, scale.factor)
             expected = NormResult(value, match_from_choices(choice, len(w)))
             assert scaled_norm_dp(w, scale.factor) == expected, w

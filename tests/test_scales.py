@@ -41,7 +41,14 @@ from graev.scales import (
     weighted_scale,
 )
 
-from conftest import ALPHA3, DEEP_POINTS, RAW_LETTERS, factor_scales, random_raw_word
+from conftest import (
+    ALPHA3,
+    DEEP_POINTS,
+    RAW_LETTERS,
+    factor_scales,
+    long_word_families,
+    random_raw_word,
+)
 from test_matching import match_from_choices
 
 WEIGHTED = weighted_scale()
@@ -241,6 +248,30 @@ def test_norm_theta_min_rational_loop_equals_choice_table_loop(tmp_path):
         for scale in scales:
             res = norm_theta_min(w, scale)
             assert (res.value, res.witness) == choice_table_rational_dp(w, scale), (w, scale.name)
+    # past 12 letters the closed-block rule skips most splits
+    long_words = [w for _, w in long_word_families(random.Random(89)) if len(w) <= 33]
+    for w in long_words:
+        for scale in scales[:2]:
+            res = norm_theta_min(w, scale)
+            assert (res.value, res.witness) == choice_table_rational_dp(w, scale), (w, scale.name)
+
+
+def test_callable_scale_sees_only_fractions():
+    # the empty inner value reaches a callable-only scale as the Fraction 0, not
+    # the int 0, in the fill and in the witness read-back, and the norm is a
+    # Fraction too
+    seen = set()
+
+    def evaluate(x, r):
+        seen.add(type(r))
+        return r + r
+
+    scale = Scale("recording", evaluate)
+    rng = random.Random(101)
+    for _ in range(100):
+        w = random_raw_word(rng, rng.randint(2, 10))
+        assert type(norm_theta_min(w, scale).value) is F, w
+    assert seen == {F}
 
 
 def test_scale_factor_contract(tmp_path):
