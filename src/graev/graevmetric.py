@@ -14,14 +14,15 @@ letter distance is a multiple of it, from one lower-triangular table per
 word: costs[j][i] = d(x_i^{-1}, x_j) pairs i < j, costs[j][j] = d(e, x_j)
 leaves j alone.  bidistances, the verify suites' route, builds that table
 for the DP's loop, cost_dp, from one letter-pair memo per call, and norms
-one product per pair, since the trivial-scale metric is two-sided invariant.
+one product per pair, since the trivial-scale metric is two-sided invariant;
+each distinct cost table of the call is normed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable
+from typing import Callable, Sequence
 
 from .freegroup import (
     Letter,
@@ -88,7 +89,7 @@ def trivial_norm_dp(w: Word) -> NormResult:
     return NormResult(Rat(row[0][-1], unit), witness)
 
 
-def cost_dp(costs: list[list[int]]) -> list[list[int]]:
+def cost_dp(costs: Sequence[Sequence[int]]) -> list[list[int]]:
     """The integer interval DP under trivial_norm_dp and bidistances, on one lower-
     triangular letter-cost table: costs[j][j] costs letter j alone, costs[j][i] (i < j)
     pairing i with j.  C[i][j] is the least of the pair term costs[j][i] + C[i+1][j-1] and
@@ -169,13 +170,15 @@ def graev_bidistance(u: ReducedWord, v: ReducedWord) -> Rat:
 
 def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
     """graev_bidistance of each pair of reduced words, in order: twice the norm
-    N(u^{-1}v), each distinct product normed once by cost_dp.  N is conjugation-
+    N(u^{-1}v), each distinct cost table normed once by cost_dp.  N is conjugation-
     and inversion-invariant, so N(uv^{-1}) = N(u^{-1} uv^{-1} u) = N(v^{-1}u) =
     N(u^{-1}v): the metric is two-sided invariant, d(u^{-1}, v^{-1}) = d(u, v).
     Words are numbered first, once per object (keyed by id(): pairs keeps them
     alive), a letter 2k and its inverse 2k + 1, so inverting one flips the low
     bit.  The deepest letter fixes the unit 2^-depth; each letter pair's cost is
-    computed once per call."""
+    computed once per call.  The norm depends only on the table, and every table
+    of the call is in the one unit, so one memo keyed by the table holds each
+    distance."""
     ids: dict[Letter, int] = {}
     letters: list[Letter] = []
     sides: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}  # word, inverse
@@ -194,17 +197,14 @@ def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
         sides[key] = tuple(numbers), tuple(i ^ 1 for i in reversed(numbers))
     top = 1 << max((x.point.depth for x in letters), default=0)
     pair_costs: dict[tuple[int, int], int] = {}  # (x_i, x_j) -> d(x_i^-1, x_j)
-    norms: dict[tuple[int, ...], int] = {(): 0}
+    distances: dict[tuple[tuple[int, ...], ...], Rat] = {(): Rat(0)}  # keyed by cost table
 
-    def norm(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    def distance(a: tuple[int, ...], b: tuple[int, ...]) -> Rat:
         # both are reduced, so only letters meeting at the seam cancel
         k, m = 0, min(len(a), len(b))
         while k < m and a[-1 - k] ^ 1 == b[k]:
             k += 1
         key = a[: len(a) - k] + b[k:]
-        value = norms.get(key)
-        if value is not None:
-            return value
         costs = []  # _unit_costs' table for the letters of key
         for j, y in enumerate(key):
             column = []
@@ -220,8 +220,11 @@ def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
                     pair_costs[x, y] = cost
                 column.append(cost)
             column.append(top)  # no identity letters, so every letter alone costs the whole unit
-            costs.append(column)
-        value = norms[key] = cost_dp(costs)[0][-1]
+            costs.append(tuple(column))
+        table = tuple(costs)
+        value = distances.get(table)
+        if value is None:
+            value = distances[table] = Rat(2 * cost_dp(table)[0][-1], top)
         return value
 
-    return [Rat(2 * norm(sides[id(u)][1], sides[id(v)][0]), top) for u, v in pairs]
+    return [distance(sides[id(u)][1], sides[id(v)][0]) for u, v in pairs]

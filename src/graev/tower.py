@@ -6,7 +6,8 @@ useful: distances never grow under projection, distinct words over
 depth-limited points stay uniformly separated, and any two distinct words
 are told apart by some finite truncation level.  The distance suites
 prepare each word once and take every distance of the call from one
-graevmetric.bidistances call, which norms one product u^{-1}v per pair.
+graevmetric.bidistances call, which norms one product u^{-1}v per pair and
+each distinct cost table once.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def check_lipschitz_distance(u: ReducedWord, v: ReducedWord, n: Level) -> CheckC
 
 def check_lipschitz(n: Level, pairs: Iterable[tuple[Word, Word]]) -> VerificationReport:
     """check_lipschitz_distance for every pair, in order, as one report.
-    Each word is prepared once and each distinct product's norm is
+    Each word is prepared once and each distinct cost table's norm is
     computed once per call."""
     _check_level(n)
     pairs = list(pairs)

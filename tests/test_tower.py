@@ -17,6 +17,7 @@ from graev.freegroup import (
     format_rat,
     format_word,
     invert,
+    letter_distance,
     multiply,
     neg,
     pos,
@@ -280,9 +281,10 @@ def test_suites_at_mixed_depths_equal_pair_by_pair_reports():
         assert check_lipschitz(n, (pair for pair in pairs)).to_json() == by_pairs
 
 
-def test_suites_norm_each_distinct_product_once(monkeypatch):
-    # work pin: one cost_dp call per distinct non-empty product u^{-1}v of the
-    # pairs a suite hands to bidistances, and none for uv^{-1}
+def test_suites_norm_each_distinct_cost_table_once(monkeypatch):
+    # work pin: one cost_dp call per distinct letter-cost table of the non-empty
+    # products u^{-1}v of the pairs a suite hands to bidistances, and none for
+    # uv^{-1}; there are at most as many tables as distinct products
     calls = []
     kernel = graevmetric.cost_dp
 
@@ -297,10 +299,18 @@ def test_suites_norm_each_distinct_product_once(monkeypatch):
     def products(pairs):
         return {multiply(invert(u), v) for u, v in pairs} - {IDENTITY_WORD}
 
+    def tables(words):
+        # each product's square table of exact letter distances, which needs no unit
+        return {
+            tuple(tuple(letter_distance(x.inverse(), y) for y in w.letters) for x in w.letters)
+            for w in words
+        }
+
     words = exhaustive_reduced_words(list(ALPHA3), 2)
     check_discreteness(1, words)
     rows = sorted(words, key=lambda w: (len(w), format_word(w)))  # the suite's order
-    assert len(calls) == len(products(itertools.combinations(rows, 2))) > 0
+    distinct = products(itertools.combinations(rows, 2))
+    assert 0 < len(calls) == len(tables(distinct)) < len(distinct)
     calls.clear()
     words = exhaustive_reduced_words(TOWER_POINTS, 2)[:16]
     words += [word(pos(1, 2), IDENTITY, neg(1)), word(neg(1), neg(1, 2))]
@@ -308,7 +318,8 @@ def test_suites_norm_each_distinct_product_once(monkeypatch):
     check_lipschitz(1, pairs)
     projected = [(project_word(u, 1), project_word(v, 1)) for u, v in pairs]
     reduced = [(reduce_word(u), reduce_word(v)) for u, v in pairs]
-    assert len(calls) == len(products(projected + reduced)) > 0
+    distinct = products(projected + reduced)
+    assert 0 < len(calls) == len(tables(distinct)) <= len(distinct)
 
 
 def test_value_only_routes_read_no_witness_back(monkeypatch):
