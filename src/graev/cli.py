@@ -14,7 +14,6 @@ import functools
 import json
 import random
 import sys
-from typing import Iterable
 
 from .errors import ResourceLimitError, text_lines
 from .freegroup import (
@@ -47,42 +46,29 @@ from .tower import (
     check_bound_digits,
     check_discreteness,
     check_extension_conditions,
+    check_level,
     check_lipschitz,
     project_word,
     separating_level,
 )
 
 
-class CorpusSyntaxError(ValueError):
-    """Corpus file problem; carries the line and column."""
-
-    def __init__(self, message: str, line: int, column: int) -> None:
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-
-def parse_corpus(source: str | Iterable[str], max_depth: int | None = None) -> list[ReducedWord]:
-    """One word per line in the word grammar, "#" comments allowed; every
-    line is parsed and reduced.  An empty file is a valid empty corpus.
-    Errors start "<path>:<line>:" ("line <line>:" for a stream), and a
-    reduced word deeper than max_depth is one."""
-    name = f"{source}:" if isinstance(source, str) else "line "
-    lines = text_lines(source) if isinstance(source, str) else source
+def parse_corpus(path: str, max_depth: int | None = None) -> list[ReducedWord]:
+    """The words of the file at path, one per line of errors.text_lines'
+    format, each parsed and reduced; an empty file is a valid empty corpus.
+    Errors start "<path>:<line>:", and a reduced word deeper than max_depth
+    is one."""
     words: list[ReducedWord] = []
-    for lineno, raw in enumerate(lines, start=1):
-        content = raw.split("#", 1)[0].rstrip("\n")
-        if not content.strip():
-            continue
+    for where, content in text_lines(path):  # content keeps its leading blanks, for columns
         try:
             w = reduce_word(parse_word(content))
         except WordSyntaxError as exc:
-            raise CorpusSyntaxError(f"{name}{lineno}: {exc}", lineno, exc.position + 1) from None
+            raise ValueError(f"{where}: {exc}") from None
         except ResourceLimitError as exc:
-            raise ResourceLimitError(f"{name}{lineno}: {exc}") from None
+            raise ResourceLimitError(f"{where}: {exc}") from None
         if max_depth is not None and w.max_depth > max_depth:
             raise ValueError(
-                f"{name}{lineno}: corpus word {format_word(w)} has depth {w.max_depth} > "
+                f"{where}: corpus word {format_word(w)} has depth {w.max_depth} > "
                 f"level {max_depth}"
             )
         words.append(w)
@@ -238,6 +224,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"--suite {args.suite} takes no --scale")
         if args.cases and args.corpus is not None:
             raise ValueError("--cases cannot be given with --corpus")
+        check_level(args.level)  # before any corpus line is read or word drawn
     elif args.corpus is not None or args.cases:
         flag = "--corpus" if args.corpus is not None else "--cases"
         raise ValueError(f"--suite {args.suite} takes no {flag}")
@@ -345,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # WordSyntaxError and CorpusSyntaxError too
+    except (ValueError, OSError) as exc:  # WordSyntaxError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

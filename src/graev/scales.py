@@ -95,27 +95,23 @@ def weighted_scale(coefficients: Mapping[int, Rat] | None = None, name: str = "w
 def load_scale_file(path: str) -> Scale:
     """Read weighted-family coefficients from a key-value text file.
 
-    Lines are "<coordinate index> = <rational>", "#" starts a comment,
-    blank lines are skipped.  Unlisted coordinates get coefficient 0; the
-    coefficients are kept sparse, so the cost follows the number of lines,
-    not the largest index.
+    Lines are "<coordinate index> = <rational>" in errors.text_lines'
+    format, and errors start "<path>:<line>:".  Unlisted coordinates get
+    coefficient 0; the coefficients are kept sparse, so the cost follows the
+    number of lines, not the largest index.
     The file is not vetted here; run the axiom checker to certify it.
     """
     entries: dict[int, Rat] = {}
-    for lineno, raw in enumerate(text_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected '<index> = <rational>'")
-        left, right = line.split("=", 1)
-        where = f"{path}:{lineno}"
+    for where, content in text_lines(path):
+        if "=" not in content:
+            raise ValueError(f"{where}: expected '<index> = <rational>'")
+        left, right = content.split("=", 1)
         index = _file_number(int, left.strip(), where, "coordinate index")
         value = _file_number(Rat, right.strip(), where, "coefficient")
         if index < 0:
-            raise ValueError(f"{path}:{lineno}: coordinate index must be >= 0")
+            raise ValueError(f"{where}: coordinate index must be >= 0")
         if index in entries:
-            raise ValueError(f"{path}:{lineno}: duplicate coordinate {index}")
+            raise ValueError(f"{where}: duplicate coordinate {index}")
         entries[index] = value
     return weighted_scale(entries, name=f"file:{path}")
 

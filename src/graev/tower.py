@@ -36,19 +36,20 @@ from .scales import Scale, norm_theta
 Level = int
 
 
-def _check_level(n: Level) -> None:
+def check_level(n: Level) -> None:
+    """Refuse a negative truncation level."""
     if n < 0:
         raise ValueError(f"truncation level must be >= 0, got {n}")
 
 
 def project_point(p: Point, n: Level) -> Point:
     """Zero all coordinates at index >= n; idempotent."""
-    _check_level(n)
+    check_level(n)
     return p.truncate(n)
 
 
 def project_letter(x: Letter, n: Level) -> Letter:
-    _check_level(n)
+    check_level(n)
     if x.point is None:
         return x
     return Letter(x.sign, x.point.truncate(n))
@@ -57,7 +58,7 @@ def project_letter(x: Letter, n: Level) -> Letter:
 def project_word(w: Word, n: Level) -> ReducedWord:
     """Truncate letterwise, then reduce.  A group homomorphism that fixes
     every word whose points already have depth <= n."""
-    _check_level(n)
+    check_level(n)
     return reduce_word(Word(tuple(project_letter(x, n) for x in w.letters)))
 
 
@@ -65,7 +66,7 @@ def check_lipschitz_witness(w_star: Word, theta: Match, scale: Scale, n: Level) 
     """Projected spelling never costs more than the original under the same
     match (valid for regular scales: projection shrinks both letter
     distances and scale values)."""
-    _check_level(n)
+    check_level(n)
     if not scale.declared_regular:
         raise ValueError(f"scale {scale.name!r} is not declared regular")
     projected = Word(tuple(project_letter(x, n) for x in w_star.letters))
@@ -93,7 +94,7 @@ def check_lipschitz(n: Level, pairs: Iterable[tuple[Word, Word]]) -> Verificatio
     """check_lipschitz_distance for every pair, in order, as one report.
     Each word is prepared once and each distinct cost table's norm is
     computed once per call."""
-    _check_level(n)
+    check_level(n)
     pairs = list(pairs)
     report = VerificationReport(
         suite="lipschitz", parameters={"level": str(n), "pairs": str(len(pairs))}
@@ -119,7 +120,7 @@ def check_extension_conditions(
     """Truncation at level n satisfies the homomorphism-extension conditions:
     it commutes with inversion and fixes the identity, it is nonexpansive on
     letters, and it never increases the scale."""
-    _check_level(n)
+    check_level(n)
     letters = tuple(letters)
     if not letters or not r_grid:
         raise ValueError("letter and grid samples must be nonempty")
@@ -213,7 +214,7 @@ def check_discreteness(n: Level, corpus: Iterable[ReducedWord]) -> VerificationR
     """Every distinct pair of depth-<= n words is at two-sided distance at
     least 2^{-n}; the minimum observed distance and an attaining pair are
     recorded in the report parameters."""
-    _check_level(n)
+    check_level(n)
     distinct: dict[tuple[Letter, ...], tuple] = {}  # keyed by the reduced letters
     for w in corpus:
         rw = reduce_word(w)

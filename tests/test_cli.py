@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import graev.cli
 import graev.tower
-from graev.cli import CorpusSyntaxError, build_parser, main, parse_corpus
+from graev.cli import build_parser, main, parse_corpus
 from graev.freegroup import Letter, Word, format_word, is_reduced, parse_word, reduce_word
 from graev.sampling import sample_corpus
 from graev.scales import insertion_alphabet
@@ -503,26 +503,58 @@ def test_non_utf8_scale_file_exits_2_naming_the_line(capsys, tmp_path):
         assert run(capsys, *argv) == (2, "", f"error: {path}:3: byte 0xfe is not UTF-8\n")
 
 
+# Each reader's two valid lines and its malformed line, with the message it gives.
+_LINE_READERS = {
+    "corpus": (
+        ("[1]", "[2]^-1", "[1", "expected ',' or ']' at column 3, found 'end of input'"),
+        lambda path: ("verify", "--suite", "discreteness", "--level", "2", "--corpus", path),
+    ),
+    "scale": (
+        ("0 = 1/2", "2 = 3/8", "1 = 1/", "Invalid literal for Fraction: '1/'"),
+        lambda path: ("norm", "--scale", f"file:{path}", "--budget", "1", "[0,0,1] [1]"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LINE_READERS))
+def test_corpus_and_scale_files_share_one_line_format(capsys, tmp_path, kind):
+    # CRLF ends, a comment-only line, a line of spaces and a tab and a trailing
+    # comment read the same in both kinds; errors name "<path>:<line>:"
+    (first, second, bad, message), argv = _LINE_READERS[kind]
+    path = tmp_path / f"{kind}.txt"
+    layout = f"# head\r\n{first}\r\n  \t \r\n{second}  # trailing\r\n".encode()
+    path.write_bytes(layout)
+    assert run(capsys, *argv(str(path)))[0] == 0
+    path.write_bytes(layout + f"{bad}\r\n".encode())
+    assert run(capsys, *argv(str(path))) == (2, "", f"error: {path}:5: {message}\n")
+    path.write_bytes(layout + b"# a comment \xff is still read\r\n")
+    assert run(capsys, *argv(str(path))) == (2, "", f"error: {path}:5: byte 0xff is not UTF-8\n")
+
+
 # --- corpus parsing ------------------------------------------------------------------
 
 
-def test_parse_corpus_stream():
-    text = "# corpus\n[1] [2]^-1\ne\n\n[1] [1]^-1  # cancels\n"
-    words = parse_corpus(io.StringIO(text))
+def test_parse_corpus_stream(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("# corpus\n[1] [2]^-1\ne\n\n[1] [1]^-1  # cancels\n")
+    words = parse_corpus(str(path))
     assert [format_word(w) for w in words] == ["[1] [2]^-1", "e", "e"]
 
 
-def test_parse_corpus_empty_is_valid():
-    assert parse_corpus(io.StringIO("")) == []
-    assert parse_corpus(io.StringIO("# only a comment\n")) == []
+def test_parse_corpus_empty_is_valid(tmp_path):
+    path = tmp_path / "c.txt"
+    for text in ("", "# only a comment\n"):
+        path.write_text(text)
+        assert parse_corpus(str(path)) == []
 
 
-def test_parse_corpus_error_names_line_and_column():
-    with pytest.raises(CorpusSyntaxError) as exc:
-        parse_corpus(io.StringIO("[1]\n[2] oops\n"))
-    assert exc.value.line == 2
-    assert exc.value.column == 5
-    assert "line 2" in str(exc.value)
+def test_parse_corpus_error_names_line_and_column(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("[1]\n[2] oops\n")
+    with pytest.raises(ValueError) as exc:
+        parse_corpus(str(path))
+    assert str(exc.value).startswith(f"{path}:2: ")
+    assert "column 5" in str(exc.value)
 
 
 def test_corpus_errors_name_the_file_and_line(capsys, tmp_path):
@@ -546,15 +578,20 @@ def test_corpus_errors_name_the_file_and_line(capsys, tmp_path):
     path.write_text("[1]\n[1,2,3,4]\n")
     code, out, err = run(capsys, *verify, "lipschitz")
     assert (code, err) == (0, "") and "failed: 0" in out
-    with pytest.raises(ValueError, match=r"^line 2: corpus word \[1,2\] has depth 2 > level 1$"):
-        parse_corpus(io.StringIO("[1]\n[1,2]\n"), max_depth=1)
+    path.write_text("[1]\n[1,2]\n")
+    message = rf"^{re.escape(str(path))}:2: corpus word \[1,2\] has depth 2 > level 1$"
+    with pytest.raises(ValueError, match=message):
+        parse_corpus(str(path), max_depth=1)
 
 
-def test_parse_corpus_rejects_non_decimal_digits():
+def test_parse_corpus_rejects_non_decimal_digits(tmp_path):
     # '²' is a digit to str.isdigit but not to int()
-    with pytest.raises(CorpusSyntaxError) as exc:
-        parse_corpus(io.StringIO("[1]\n[²]\n"))
-    assert (exc.value.line, exc.value.column) == (2, 2)
+    path = tmp_path / "c.txt"
+    path.write_text("[1]\n[²]\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        parse_corpus(str(path))
+    assert str(exc.value).startswith(f"{path}:2: ")
+    assert "column 2" in str(exc.value)
 
 
 def test_verify_with_corpus_file(capsys, tmp_path):
@@ -578,12 +615,19 @@ def test_verify_corpus_too_deep_exits_2(capsys, tmp_path):
 
 
 def test_verify_negative_level_exits_2_without_pairs(capsys, tmp_path):
-    path = tmp_path / "corpus.txt"
-    path.write_text("[1]\n")
+    # the level is refused before any corpus line is read or word drawn, so a
+    # valid word at depth 0 or a later bad line is never blamed
+    refused = (2, "", "error: truncation level must be >= 0, got -1\n")
+    sources = [["--cases", "3"], []]
+    for k, text in enumerate(("[1]\n", "e\n", "e\n[1\n")):
+        path = tmp_path / f"corpus{k}.txt"
+        path.write_text(text)
+        sources.append(["--corpus", str(path)])
     for suite in ("discreteness", "lipschitz"):
-        code, _, err = run(capsys, "verify", "--suite", suite, "--level", "-1", "--corpus", str(path))
-        assert code == 2
-        assert "level" in err
+        for source in sources:
+            assert run(capsys, "verify", "--suite", suite, "--level", "-1", *source) == refused
+    code, out, _ = run(capsys, "verify", "--suite", "scale-axioms", "--level", "-1")
+    assert code == 0 and "failed: 0" in out
 
 
 def test_verify_negative_cases_exits_2(capsys, tmp_path):
@@ -1099,10 +1143,13 @@ def test_out_of_memory_exits_3_with_one_line():
 
 @given(st.lists(st.one_of(_texts, _texts.map(lambda t: t + "  # comment"))))
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_parse_corpus_fuzz(lines):
+def test_parse_corpus_fuzz(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzz-corpus.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
     try:
-        words = parse_corpus(io.StringIO("\n".join(lines)))
-    except CorpusSyntaxError as exc:
-        assert exc.line >= 1 and exc.column >= 1
+        words = parse_corpus(str(path))
+    except ValueError as exc:
+        where = re.match(rf"{re.escape(str(path))}:(\d+): .*column (\d+)", str(exc))
+        assert where and 1 <= int(where[1]) <= len(lines) and int(where[2]) >= 1, str(exc)
     else:
         assert all(is_reduced(w) for w in words)
