@@ -15,14 +15,18 @@ word: costs[j][i] = d(x_i^{-1}, x_j) pairs i < j, costs[j][j] = d(e, x_j)
 leaves j alone.  bidistances, the verify suites' route, builds that table
 for the DP's loop, cost_dp, from one letter-pair memo per call, and norms
 one product per pair, since the trivial-scale metric is two-sided invariant;
-each distinct cost table of the call is normed once.
+each distinct cost table of the call is normed once.  Every other scale's
+norm is a search over spellings, index tuples into one alphabet: a Spellings
+holds what the search shares (a letter-pair memo, the factors, one unit), and
+spelling_values gives one spelling's value matrix; a single word is the
+one-spelling search, scaled_norm_dp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .freegroup import (
     Letter,
@@ -59,6 +63,15 @@ def _unit_costs(w: Word) -> tuple[int, list[list[int]]]:
                 column[i] = 0 if k is None else top >> k
         costs.append(column)
     return top, costs
+
+
+def _pair_cost(x: Letter, y: Letter, top: int) -> int:
+    # _unit_costs' rule for one pair, for the per-call memos: d(x^{-1}, y), the cost of
+    # pairing x with a later y, in units of 1 / top, top a multiple of 2^max_depth
+    if x.sign != -y.sign:
+        return top
+    k = first_difference(x.point, y.point) if x.sign else None
+    return 0 if k is None else top >> k
 
 
 def graev_norm_bruteforce(w: Word) -> NormResult:
@@ -114,11 +127,12 @@ def cost_dp(costs: Sequence[Sequence[int]]) -> list[list[int]]:
     return row
 
 
-def ends_dp(alone: list, ends: Callable) -> tuple:
+def ends_dp(alone: list, ends: Callable) -> list[list]:
     """cost_dp's closed-block loop, exact for any values, with C[i][i] = alone[i] and the
     caller's pair term ends(i, j, C[i+1][j-1]), one call per cell i < j.  The empty interval
-    (lower triangle, row n) is alone[0] * 0, in the caller's number type.  Returns C[0][n-1]
-    and the match that matching.match_from_values reads back with the same ends."""
+    (lower triangle, row n) is alone[0] * 0, in the caller's number type.  Returns row as
+    cost_dp does, row[0][-1] the value; matching.match_from_values reads the witness back
+    from it with the same ends, once per search: spelling_values runs it value-only."""
     n = len(alone)
     row = [[alone[0] * 0] * n for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
@@ -128,26 +142,110 @@ def ends_dp(alone: list, ends: Callable) -> tuple:
             v = ends(i, j, inner[j - 1])
             if v < here[j]:  # [i, j] is closed
                 here[j:] = [b if b < v + c else v + c for b, c in zip(here[j:], row[j + 1][j:])]
-    return row[0][-1], match_from_values(row, n, ends)
+    return row
 
 
-def scaled_norm_dp(w: Word, factor: Callable[[Point], Rat]) -> NormResult:
-    """trivial_norm_dp for a multiplicative scale, scale(x, r) = r * factor(x.point) off
-    the identity: the ends pay d(x_i^{-1}, x_j) + max(r F_i, r F_j), r the inner value.
-    Integers in units of 2^-max_depth * L^-floor(n/2), L the lcm of the factors'
-    denominators: an interval of length m nests at most floor(m/2) factors, so the division
-    by L is exact.  Factors and values may be negative.  ends_dp runs that pair term."""
-    unit, costs = _unit_costs(w)
-    factors = [1 if x.point is None else factor(x.point) for x in w.letters]
-    den = lcm(*(f.denominator for f in factors))
-    grow = den ** (len(w) // 2)
-    scaled = [f.numerator * (den // f.denominator) for f in factors]  # F_i = factor_i * den
+class Spellings:
+    """What every spelling of one non-trivial scale norm search shares.
 
-    def ends(i: int, j: int, r: int) -> int:
-        return costs[j][i] * grow + max(r * scaled[i], r * scaled[j]) // den
+    A spelling is a sequence of indices into letters; depth is the deepest letter any
+    spelling holds, used the indices the spellings hold, and length the longest one.
+    Each letter pair's cost, d(letters[a]^{-1}, letters[b]), is computed once per search,
+    on first use, into the memo pairs.  With a factor, scale(x, r) = r * factor(x.point)
+    off the identity, values are integers in one unit, 1 / unit with unit = 2^depth *
+    den^floor(length/2), den the lcm of the used factors' denominators: an interval of
+    m letters nests at most floor(m/2) factors, so every division by den is exact, and
+    one unit for every spelling keeps every comparison and tie.  Factors and values may
+    be negative.  widen(used, length) moves to more letters or longer spellings: the new
+    unit is a multiple of the old, so the memo is rescaled, not recomputed, and a value
+    times the ratio it returns is the same value in the new unit.  Without a factor,
+    values are Fractions, the pair term calls scale(x, r) itself and widen returns 1.
+    The memo holds only the pairs some spelling meets, the factors only used letters'."""
 
-    value, witness = ends_dp([column[-1] * grow for column in costs], ends)
-    return NormResult(Rat(value, unit * grow), witness)
+    def __init__(
+        self,
+        letters: Sequence[Letter],
+        depth: int,
+        used: Iterable[int],
+        length: int,
+        factor: Callable[[Point], Rat] | None = None,
+        scale: Callable[[Letter, Rat], Rat] | None = None,
+    ):
+        self.letters, self.pairs, self.factor, self.scale = letters, {}, factor, None
+        self.top, self.unit, self.raw = 1 << depth, 1, {}  # raw: the used letters' factors
+        if factor is None:
+            self.scale, self.one = scale, Rat(1)
+        else:
+            self.widen(used, length)
+
+    def cost(self, x: Letter, y: Letter) -> int | Rat:
+        # d(x^{-1}, y) in the unit; a method, as a closure over self would keep every
+        # search alive until the cyclic garbage collector runs
+        if self.factor is None:
+            return Rat(_pair_cost(x, y, self.top), self.top)
+        return _pair_cost(x, y, self.unit)
+
+    def widen(self, used: Iterable[int], length: int) -> int:
+        if self.factor is None:
+            return 1
+        letters, raw = self.letters, self.raw
+        for a in used:
+            if a not in raw:
+                raw[a] = 1 if letters[a].point is None else self.factor(letters[a].point)
+        den = self.den = lcm(*(f.denominator for f in raw.values()))
+        unit = self.one = self.top * den ** (length // 2)
+        ratio, self.unit = unit // self.unit, unit
+        self.pairs = {key: cost * ratio for key, cost in self.pairs.items()}
+        # F_a = factor_a * den, an integer
+        self.factors = {a: f.numerator * (den // f.denominator) for a, f in raw.items()}
+        return ratio
+
+
+def spelling_values(search: Spellings, spelling: Sequence[int]) -> tuple[list[list], Callable]:
+    """The value matrix of one spelling (ends_dp's row, row[0][-1] its norm in search's
+    unit) and its pair term, for matching.match_from_values.  The ends of a pair pay
+    d(x_i^{-1}, x_j) + max(scale(x_i^{-1}, r), scale(x_j, r)), r the inner value: with a
+    factor, r * F_i and r * F_j over den."""
+    letters, pairs, one, zero = search.letters, search.pairs, search.one, search.one * 0
+    costs = []  # costs[j][i] pairs i < j, costs[j][j] leaves j alone, as _unit_costs'
+    for j, b in enumerate(spelling):
+        column = []
+        for a in spelling[:j]:
+            c = pairs.get((a, b))
+            if c is None:
+                c = pairs[a, b] = search.cost(letters[a], letters[b])
+            column.append(c)
+        column.append(one if letters[b].sign else zero)
+        costs.append(column)
+    if search.scale is None:
+        den, f = search.den, [search.factors[a] for a in spelling]
+
+        def ends(i: int, j: int, r: int) -> int:
+            return costs[j][i] + max(r * f[i], r * f[j]) // den
+
+    else:
+        scale, ys = search.scale, [letters[b] for b in spelling]
+        xs = [y.inverse() for y in ys]
+
+        def ends(i: int, j: int, inner: Rat) -> Rat:
+            return costs[j][i] + max(scale(xs[i], inner), scale(ys[j], inner))
+
+    return ends_dp([column[-1] for column in costs], ends), ends
+
+
+def scaled_norm_dp(
+    w: Word,
+    factor: Callable[[Point], Rat] | None,
+    scale: Callable[[Letter, Rat], Rat] | None = None,
+) -> NormResult:
+    """trivial_norm_dp for a non-trivial scale: with a factor, scale(x, r) = r *
+    factor(x.point) off the identity, on integers; else by scale(x, r) on Fractions.
+    The one-spelling search, w's letters their own alphabet: its Spellings shares
+    nothing with another call, and the witness is read back from its one matrix."""
+    n = len(w)
+    search = Spellings(w.letters, w.max_depth, range(n), n, factor, scale)
+    row, ends = spelling_values(search, range(n))
+    return NormResult(Rat(row[0][-1], search.unit), match_from_values(row, n, ends))
 
 
 def graev_norm_dp(w: Word) -> Rat:
@@ -210,14 +308,8 @@ def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
             column = []
             for x in key[:j]:
                 cost = pair_costs.get((x, y))
-                if cost is None:  # letter_distance in units of 1 / top
-                    p, q = letters[x ^ 1], letters[y]
-                    if p.sign != q.sign:
-                        cost = top
-                    else:
-                        d = first_difference(p.point, q.point)
-                        cost = 0 if d is None else top >> d
-                    pair_costs[x, y] = cost
+                if cost is None:
+                    cost = pair_costs[x, y] = _pair_cost(letters[x], letters[y], top)
                 column.append(cost)
             column.append(top)  # no identity letters, so every letter alone costs the whole unit
             costs.append(tuple(column))

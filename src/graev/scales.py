@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError, digit_limit, digit_limit_error, text_lines
@@ -38,8 +37,15 @@ from .freegroup import (
     multiply,
     reduce_word,
 )
-from .graevmetric import NormResult, ends_dp, graev_norm_dp, scaled_norm_dp, trivial_norm_dp
-from .matching import Match, is_match
+from .graevmetric import (
+    NormResult,
+    Spellings,
+    graev_norm_dp,
+    scaled_norm_dp,
+    spelling_values,
+    trivial_norm_dp,
+)
+from .matching import Match, is_match, match_from_values
 from .reports import CheckCase, VerificationReport
 
 
@@ -181,20 +187,13 @@ def norm_theta_min(w: Word, scale: Scale) -> NormResult:
     The pair-ends branch may take the minimal inner value because scales
     are monotone in their second argument.  The input word is used as
     given (it is not reduced).  The trivial scale runs graevmetric.cost_dp;
-    every other scale runs its closed-block loop ends_dp: with integers in
-    scaled_norm_dp for a scale with a factor, else here with Fractions.
+    every other scale runs its closed-block loop ends_dp, through
+    scaled_norm_dp: with integers for a scale with a factor, else with
+    Fractions.
     """
     if scale is TRIVIAL_SCALE:
         return trivial_norm_dp(w)
-    if scale.factor is not None:
-        return scaled_norm_dp(w, scale.factor)
-    ls = w.letters
-
-    def ends(i: int, j: int, inner: Rat) -> Rat:
-        x, y = ls[i].inverse(), ls[j]
-        return letter_distance(x, y) + max(scale(x, inner), scale(y, inner))
-
-    return NormResult(*ends_dp([letter_distance(IDENTITY, x) for x in ls], ends))
+    return scaled_norm_dp(w, scale.factor, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +251,14 @@ def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedN
     so that search would pass the cap anyway, after work cubic in the budget.
     For a scale declared dominating, no spelling costs less than lower, so
     the evaluation stops once the upper bound reaches lower; the result is
-    the same as that of the full search.
+    the same as that of the full search.  The trivial scale's norm is exact,
+    so the reduced w ends its search.
+
+    One graevmetric.Spellings serves every spelling of the search: the letter
+    pairs' costs, each computed once, the factors and one integer unit.  Each
+    spelling's norm is computed value-only by graevmetric.spelling_values and
+    compared as an integer (a Fraction for a callable-only scale); the witness
+    is read back, and the spelling's Word built, for the winner only.
     """
     if insertion_budget < 0:
         raise ValueError("insertion budget must be >= 0")
@@ -261,11 +267,11 @@ def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedN
     if insertion_budget >= cap:
         raise ResourceLimitError(over_cap)
     rw = reduce_word(w)
-    # spellings are tuples of indices into the alphabet, which is closed
-    # under inversion and holds every letter of rw
-    alphabet = insertion_alphabet(rw)
+    # spellings are tuples of indices into the alphabet, which holds every
+    # letter of rw and, from budget 1 on, is closed under inversion
+    alphabet = insertion_alphabet(rw) if insertion_budget else rw.letters
     index = {a: i for i, a in enumerate(alphabet)}
-    pairs = [(i, index[a.inverse()]) for i, a in enumerate(alphabet)]
+    pairs = [(i, index[a.inverse()]) for i, a in enumerate(alphabet)] if insertion_budget else []
     start = tuple(index[x] for x in rw.letters)
     spellings = {start: None}  # insertion-ordered: the search order
     frontier: list[tuple[int, ...]] = [start]
@@ -282,17 +288,29 @@ def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedN
                         spellings[cand] = None
                         grown.append(cand)
         frontier = grown
-    best = norm_theta_min(rw, scale)
-    best_word = rw
-    lower = best.value if scale is TRIVIAL_SCALE else graev_norm_dp(rw)
-    for spelling in islice(spellings, 1, None):
-        if scale.declared_dominating and best.value == lower:
-            break
-        cand_word = Word(tuple(alphabet[i] for i in spelling))
-        res = norm_theta_min(cand_word, scale)
-        if res.value < best.value:
-            best, best_word = res, cand_word
-    return BoundedNorm(lower, best.value, best_word, best.witness)
+    if scale is TRIVIAL_SCALE:
+        exact = trivial_norm_dp(rw)
+        return BoundedNorm(exact.value, exact.value, rw, exact.witness)
+    # the reduced spelling goes first, in its own letters' unit: a dominating
+    # scale's search often closes there, before the other letters' factors
+    search = Spellings(alphabet, rw.max_depth, start, len(rw), scale.factor, scale)
+    lower = graev_norm_dp(rw)
+    best = None  # the first cheapest: value in search's unit, matrix, pair term, spelling
+    for spelling in spellings:
+        values, ends = spelling_values(search, spelling)
+        if best is None or values[0][-1] < best[0]:
+            best = values[0][-1], values, ends, spelling
+            closes = best[0] * lower.denominator == lower.numerator * search.unit
+            if scale.declared_dominating and closes:
+                break
+        if spelling is start and insertion_budget:
+            # from budget 1 on, every letter of the alphabet is in an inserted pair
+            ratio = search.widen(range(len(alphabet)), len(rw) + 2 * insertion_budget)
+            best = best[0] * ratio, *best[1:]
+    value, values, ends, spelling = best
+    witness = match_from_values(values, len(spelling), ends)
+    best_word = Word(tuple([alphabet[i] for i in spelling]))
+    return BoundedNorm(lower, Rat(value, search.unit), best_word, witness)
 
 
 def scale_distance_bounds(

@@ -398,28 +398,58 @@ def test_norm_bounds_equals_exhaustive_search(tmp_path, monkeypatch):
             for scale in scales:
                 oracle = bounds_or_cap_error(exhaustive_bounds, w, scale, budget, cap)
                 assert bounds_or_cap_error(norm_bounds, w, scale, budget) == oracle
+    # at budget 3 one search mixes spellings of n..n+6 letters in one unit, over
+    # factors of different denominators: [3] and [0] are 7/4 and 1 under WEIGHTED,
+    # -1/2 and 1 under the negative file
+    monkeypatch.setattr(graev.scales, "SEARCH_CAP", 2000)
+    for w in (word(pos(3)), word(neg(0))):
+        for scale in (WEIGHTED, scales[3]):
+            assert norm_bounds(w, scale, 3) == exhaustive_bounds(w, scale, 3, 2000)
 
 
-def test_spellings_are_evaluated_through_module_norm_theta_min(monkeypatch, capsys):
-    # the benchmark counts scales.norm_theta_min calls and cells, and
-    # norm_bounds candidates, by wrapping this module-level name
-    evaluate = graev.scales.norm_theta_min
-    calls, spellings = [], []
+def test_spellings_are_evaluated_value_only_through_module_spelling_values(monkeypatch, capsys):
+    # a benchmark span can wrap the per-spelling function by this module-level
+    # name: each evaluated spelling runs it once, value-only, the witness is read
+    # back once per search, and no letter pair's distance is computed twice
+    evaluate = graev.scales.spelling_values
+    read_back = graev.scales.match_from_values
+    pair_cost = graev.graevmetric._pair_cost
+    spellings, read_backs, pairs, oracle_spellings = [], [], [], []
+
+    def counted_read_back(*args):
+        read_backs.append(args)
+        return read_back(*args)
+
     monkeypatch.setattr(
-        graev.scales, "norm_theta_min", lambda w, s: calls.append(w) or evaluate(w, s)
+        graev.scales,
+        "spelling_values",
+        lambda search, s: spellings.append(s) or evaluate(search, s),
     )
-    monkeypatch.setitem(
-        globals(), "norm_theta_min", lambda w, s: spellings.append(w) or evaluate(w, s)
+    monkeypatch.setattr(graev.scales, "match_from_values", counted_read_back)
+    monkeypatch.setattr(graev.graevmetric, "match_from_values", counted_read_back)
+    monkeypatch.setattr(
+        graev.graevmetric,
+        "_pair_cost",
+        lambda x, y, top: pairs.append((x, y)) or pair_cost(x, y, top),
     )
     w = reduce_word(parse_word("[1,2]^-1 [0]^-1 [1]"))
     b = norm_bounds(w, WEIGHTED, 2)
     assert (b.lower, b.upper) == (F(3, 2), F(7, 4))  # never closes: every spelling runs
+    assert len(read_backs) == 1
+    assert len(pairs) == len(set(pairs)) > 0
+    evaluated = len(spellings)
+    oracle = graev.scales.norm_theta_min
+    monkeypatch.setitem(
+        globals(), "norm_theta_min", lambda w, s: oracle_spellings.append(w) or oracle(w, s)
+    )
     assert b == exhaustive_bounds(w, WEIGHTED, 2, graev.scales.SEARCH_CAP)
-    assert len(calls) == len(spellings) > 1
-    calls.clear()
+    assert evaluated == len(set(spellings)) == len(oracle_spellings) > 1
+    for seen in (spellings, read_backs, pairs):
+        seen.clear()
     assert cli.main(["norm", "--scale", "weighted", "--budget", "1", "[1]"]) == 0
     assert capsys.readouterr().out == "lower 1/1 upper 1/1\n"
-    assert len(calls) == 1  # closes on the reduced spelling
+    assert len(spellings) == len(read_backs) == 1  # closes on the reduced spelling
+    assert len(pairs) == len(set(pairs))
 
 
 def test_declared_dominating(tmp_path):
