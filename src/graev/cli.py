@@ -225,6 +225,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.cases and args.corpus is not None:
             raise ValueError("--cases cannot be given with --corpus")
         check_level(args.level)  # before any corpus line is read or word drawn
+        if args.cases and args.max_len < 1:
+            raise ValueError(f"--max-len must be >= 1, got {args.max_len}")
     elif args.corpus is not None or args.cases:
         flag = "--corpus" if args.corpus is not None else "--cases"
         raise ValueError(f"--suite {args.suite} takes no {flag}")

@@ -16,10 +16,11 @@ leaves j alone.  bidistances, the verify suites' route, builds that table
 for the DP's loop, cost_dp, from one letter-pair memo per call, and norms
 one product per pair, since the trivial-scale metric is two-sided invariant;
 each distinct cost table of the call is normed once.  Every other scale's
-norm is a search over spellings, index tuples into one alphabet: a Spellings
-holds what the search shares (a letter-pair memo, the factors, one unit), and
-spelling_values gives one spelling's value matrix; a single word is the
-one-spelling search, scaled_norm_dp.
+norm is a search over spellings, index tuples into one alphabet, and
+cheapest_spelling runs every one: a Spellings holds what the search shares (a
+letter-pair memo, the factors, one unit), spelling_values gives one spelling's
+value matrix, and a single word is the one-spelling search.  _memo_costs fills
+a cost table from a letter-pair memo for bidistances and spelling_values alike.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Callable, Iterable, Sequence
 
 from .freegroup import (
     Letter,
-    Point,
     Rat,
     ReducedWord,
     Word,
@@ -145,38 +145,54 @@ def ends_dp(alone: list, ends: Callable) -> list[list]:
     return row
 
 
+def _memo_costs(
+    spelling: Sequence[int], letters: Sequence[Letter], pairs: dict, pair_cost: Callable, alone
+) -> tuple[tuple, ...]:
+    """_unit_costs' table, as a tuple of tuples, for the letters of spelling, indices into
+    letters: costs[j][i] (i < j) is pair_cost(letters[a], letters[b]) for the spelling's
+    a and b, computed into the memo pairs on first use, and costs[j][j] is alone, the
+    cost of a letter alone, or alone * 0 for the identity."""
+    costs, zero = [], alone * 0
+    for j, b in enumerate(spelling):
+        column = []
+        for a in spelling[:j]:
+            c = pairs.get((a, b))
+            if c is None:
+                c = pairs[a, b] = pair_cost(letters[a], letters[b])
+            column.append(c)
+        column.append(alone if letters[b].sign else zero)
+        costs.append(tuple(column))
+    return tuple(costs)
+
+
 class Spellings:
     """What every spelling of one non-trivial scale norm search shares.
 
     A spelling is a sequence of indices into letters; depth is the deepest letter any
-    spelling holds, used the indices the spellings hold, and length the longest one.
-    Each letter pair's cost, d(letters[a]^{-1}, letters[b]), is computed once per search,
-    on first use, into the memo pairs.  With a factor, scale(x, r) = r * factor(x.point)
-    off the identity, values are integers in one unit, 1 / unit with unit = 2^depth *
-    den^floor(length/2), den the lcm of the used factors' denominators: an interval of
-    m letters nests at most floor(m/2) factors, so every division by den is exact, and
-    one unit for every spelling keeps every comparison and tie.  Factors and values may
-    be negative.  widen(used, length) moves to more letters or longer spellings: the new
-    unit is a multiple of the old, so the memo is rescaled, not recomputed, and a value
-    times the ratio it returns is the same value in the new unit.  Without a factor,
-    values are Fractions, the pair term calls scale(x, r) itself and widen returns 1.
-    The memo holds only the pairs some spelling meets, the factors only used letters'."""
+    spelling holds, first the spelling whose letters and length set the first unit, and
+    scale is scale(x, r), with its factor or None.  Each letter pair's cost,
+    d(letters[a]^{-1}, letters[b]), is computed once per search, on first use, into the
+    memo pairs.  With a factor, scale(x, r) = r * factor(x.point) off the identity,
+    values are integers in one unit, 1 / unit with unit = 2^depth * den^floor(length/2),
+    den the lcm of the used letters' factor denominators and length the longest
+    spelling: an interval of m letters nests at most floor(m/2) factors, so every
+    division by den is exact, and one unit for every spelling keeps every comparison
+    and tie.  Factors and values may be negative.  widen(used, length) moves to more
+    letters or longer spellings: the new unit is a multiple of the old, so the memo is
+    rescaled, not recomputed, and a value times the ratio it returns is the same value
+    in the new unit.  Without a factor, values are Fractions, the pair term calls
+    scale(x, r) itself and widen returns 1.  The memo holds only the pairs some
+    spelling meets, the factors only used letters'."""
 
     def __init__(
-        self,
-        letters: Sequence[Letter],
-        depth: int,
-        used: Iterable[int],
-        length: int,
-        factor: Callable[[Point], Rat] | None = None,
-        scale: Callable[[Letter, Rat], Rat] | None = None,
+        self, letters: Sequence[Letter], depth: int, first: Sequence[int], scale: Callable
     ):
-        self.letters, self.pairs, self.factor, self.scale = letters, {}, factor, None
+        self.letters, self.pairs, self.factor, self.scale = letters, {}, scale.factor, None
         self.top, self.unit, self.raw = 1 << depth, 1, {}  # raw: the used letters' factors
-        if factor is None:
+        if self.factor is None:
             self.scale, self.one = scale, Rat(1)
         else:
-            self.widen(used, length)
+            self.widen(first, len(first))
 
     def cost(self, x: Letter, y: Letter) -> int | Rat:
         # d(x^{-1}, y) in the unit; a method, as a closure over self would keep every
@@ -206,17 +222,7 @@ def spelling_values(search: Spellings, spelling: Sequence[int]) -> tuple[list[li
     unit) and its pair term, for matching.match_from_values.  The ends of a pair pay
     d(x_i^{-1}, x_j) + max(scale(x_i^{-1}, r), scale(x_j, r)), r the inner value: with a
     factor, r * F_i and r * F_j over den."""
-    letters, pairs, one, zero = search.letters, search.pairs, search.one, search.one * 0
-    costs = []  # costs[j][i] pairs i < j, costs[j][j] leaves j alone, as _unit_costs'
-    for j, b in enumerate(spelling):
-        column = []
-        for a in spelling[:j]:
-            c = pairs.get((a, b))
-            if c is None:
-                c = pairs[a, b] = search.cost(letters[a], letters[b])
-            column.append(c)
-        column.append(one if letters[b].sign else zero)
-        costs.append(column)
+    costs = _memo_costs(spelling, search.letters, search.pairs, search.cost, search.one)
     if search.scale is None:
         den, f = search.den, [search.factors[a] for a in spelling]
 
@@ -224,7 +230,7 @@ def spelling_values(search: Spellings, spelling: Sequence[int]) -> tuple[list[li
             return costs[j][i] + max(r * f[i], r * f[j]) // den
 
     else:
-        scale, ys = search.scale, [letters[b] for b in spelling]
+        scale, ys = search.scale, [search.letters[b] for b in spelling]
         xs = [y.inverse() for y in ys]
 
         def ends(i: int, j: int, inner: Rat) -> Rat:
@@ -233,19 +239,36 @@ def spelling_values(search: Spellings, spelling: Sequence[int]) -> tuple[list[li
     return ends_dp([column[-1] for column in costs], ends), ends
 
 
-def scaled_norm_dp(
-    w: Word,
-    factor: Callable[[Point], Rat] | None,
-    scale: Callable[[Letter, Rat], Rat] | None = None,
-) -> NormResult:
-    """trivial_norm_dp for a non-trivial scale: with a factor, scale(x, r) = r *
-    factor(x.point) off the identity, on integers; else by scale(x, r) on Fractions.
-    The one-spelling search, w's letters their own alphabet: its Spellings shares
-    nothing with another call, and the witness is read back from its one matrix."""
-    n = len(w)
-    search = Spellings(w.letters, w.max_depth, range(n), n, factor, scale)
-    row, ends = spelling_values(search, range(n))
-    return NormResult(Rat(row[0][-1], search.unit), match_from_values(row, n, ends))
+def cheapest_spelling(
+    letters: Sequence[Letter],
+    depth: int,
+    spellings: Iterable[Sequence[int]],
+    length: int,
+    scale: Callable[[Letter, Rat], Rat],
+    floor: Rat | None = None,
+) -> tuple[Rat, Match, Sequence[int]]:
+    """The first cheapest of spellings, index sequences into letters, none deeper than
+    depth nor longer than length, under a non-trivial scale, scale(x, r) with its
+    factor or None: its norm, the match read back from its value matrix, and the
+    spelling.  One Spellings serves the search.  The first spelling runs in its own
+    letters' unit, so a search that ends there computes no other factor; the unit
+    widens to every letter and length just before the second.  Each spelling is
+    evaluated value-only by spelling_values and compared as an integer (a Fraction
+    without a factor); the witness is read back for the winner only.  floor, a value
+    no spelling goes below, ends the search once the cheapest reaches it."""
+    best = None  # the first cheapest: value in search's unit, matrix, pair term, spelling
+    for k, spelling in enumerate(spellings):
+        if not k:
+            search = Spellings(letters, depth, spelling, scale)
+        elif k == 1:
+            best = best[0] * search.widen(range(len(letters)), length), *best[1:]
+        values, ends = spelling_values(search, spelling)
+        if best is None or values[0][-1] < best[0]:
+            best = values[0][-1], values, ends, spelling
+            if floor is not None and best[0] * floor.denominator == floor.numerator * search.unit:
+                break
+    value, values, ends, spelling = best
+    return Rat(value, search.unit), match_from_values(values, len(spelling), ends), spelling
 
 
 def graev_norm_dp(w: Word) -> Rat:
@@ -295,6 +318,7 @@ def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
         sides[key] = tuple(numbers), tuple(i ^ 1 for i in reversed(numbers))
     top = 1 << max((x.point.depth for x in letters), default=0)
     pair_costs: dict[tuple[int, int], int] = {}  # (x_i, x_j) -> d(x_i^-1, x_j)
+    cost = lambda x, y: _pair_cost(x, y, top)
     distances: dict[tuple[tuple[int, ...], ...], Rat] = {(): Rat(0)}  # keyed by cost table
 
     def distance(a: tuple[int, ...], b: tuple[int, ...]) -> Rat:
@@ -303,17 +327,8 @@ def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
         while k < m and a[-1 - k] ^ 1 == b[k]:
             k += 1
         key = a[: len(a) - k] + b[k:]
-        costs = []  # _unit_costs' table for the letters of key
-        for j, y in enumerate(key):
-            column = []
-            for x in key[:j]:
-                cost = pair_costs.get((x, y))
-                if cost is None:
-                    cost = pair_costs[x, y] = _pair_cost(letters[x], letters[y], top)
-                column.append(cost)
-            column.append(top)  # no identity letters, so every letter alone costs the whole unit
-            costs.append(tuple(column))
-        table = tuple(costs)
+        # no identity letters, so every letter alone costs the whole unit
+        table = _memo_costs(key, letters, pair_costs, cost, top)
         value = distances.get(table)
         if value is None:
             value = distances[table] = Rat(2 * cost_dp(table)[0][-1], top)

@@ -37,15 +37,8 @@ from .freegroup import (
     multiply,
     reduce_word,
 )
-from .graevmetric import (
-    NormResult,
-    Spellings,
-    graev_norm_dp,
-    scaled_norm_dp,
-    spelling_values,
-    trivial_norm_dp,
-)
-from .matching import Match, is_match, match_from_values
+from .graevmetric import NormResult, cheapest_spelling, graev_norm_dp, trivial_norm_dp
+from .matching import Match, is_match
 from .reports import CheckCase, VerificationReport
 
 
@@ -187,13 +180,14 @@ def norm_theta_min(w: Word, scale: Scale) -> NormResult:
     The pair-ends branch may take the minimal inner value because scales
     are monotone in their second argument.  The input word is used as
     given (it is not reduced).  The trivial scale runs graevmetric.cost_dp;
-    every other scale runs its closed-block loop ends_dp, through
-    scaled_norm_dp: with integers for a scale with a factor, else with
-    Fractions.
+    every other scale is graevmetric.cheapest_spelling's one-spelling search,
+    w's letters their own alphabet, on cost_dp's closed-block loop ends_dp:
+    with integers for a scale with a factor, else with Fractions.
     """
     if scale is TRIVIAL_SCALE:
         return trivial_norm_dp(w)
-    return scaled_norm_dp(w, scale.factor, scale)
+    value, witness, _ = cheapest_spelling(w.letters, w.max_depth, [range(len(w))], len(w), scale)
+    return NormResult(value, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +248,10 @@ def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedN
     the same as that of the full search.  The trivial scale's norm is exact,
     so the reduced w ends its search.
 
-    One graevmetric.Spellings serves every spelling of the search: the letter
-    pairs' costs, each computed once, the factors and one integer unit.  Each
-    spelling's norm is computed value-only by graevmetric.spelling_values and
-    compared as an integer (a Fraction for a callable-only scale); the witness
-    is read back, and the spelling's Word built, for the winner only.
+    graevmetric.cheapest_spelling runs the search, with lower as its floor
+    for a scale declared dominating only: the letter pairs' costs are each
+    computed once, each spelling's norm value-only, and the witness is read
+    back, and the spelling's Word built, for the winner only.
     """
     if insertion_budget < 0:
         raise ValueError("insertion budget must be >= 0")
@@ -291,26 +284,12 @@ def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedN
     if scale is TRIVIAL_SCALE:
         exact = trivial_norm_dp(rw)
         return BoundedNorm(exact.value, exact.value, rw, exact.witness)
-    # the reduced spelling goes first, in its own letters' unit: a dominating
-    # scale's search often closes there, before the other letters' factors
-    search = Spellings(alphabet, rw.max_depth, start, len(rw), scale.factor, scale)
     lower = graev_norm_dp(rw)
-    best = None  # the first cheapest: value in search's unit, matrix, pair term, spelling
-    for spelling in spellings:
-        values, ends = spelling_values(search, spelling)
-        if best is None or values[0][-1] < best[0]:
-            best = values[0][-1], values, ends, spelling
-            closes = best[0] * lower.denominator == lower.numerator * search.unit
-            if scale.declared_dominating and closes:
-                break
-        if spelling is start and insertion_budget:
-            # from budget 1 on, every letter of the alphabet is in an inserted pair
-            ratio = search.widen(range(len(alphabet)), len(rw) + 2 * insertion_budget)
-            best = best[0] * ratio, *best[1:]
-    value, values, ends, spelling = best
-    witness = match_from_values(values, len(spelling), ends)
-    best_word = Word(tuple([alphabet[i] for i in spelling]))
-    return BoundedNorm(lower, Rat(value, search.unit), best_word, witness)
+    floor = lower if scale.declared_dominating else None
+    upper, witness, spelling = cheapest_spelling(
+        alphabet, rw.max_depth, spellings, len(rw) + 2 * insertion_budget, scale, floor
+    )
+    return BoundedNorm(lower, upper, Word(tuple([alphabet[i] for i in spelling])), witness)
 
 
 def scale_distance_bounds(

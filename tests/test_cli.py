@@ -641,6 +641,20 @@ def test_verify_negative_cases_exits_2(capsys, tmp_path):
             assert "--cases" in err
 
 
+def test_verify_max_len_below_one_names_the_flag(capsys):
+    # with --cases, a --max-len below 1 is refused by its flag name after the
+    # level check and before any draw; without --cases it is never read
+    level_refused = (2, "", "error: truncation level must be >= 0, got -1\n")
+    for suite in ("discreteness", "lipschitz"):
+        for max_len in ("0", "-2"):
+            refused = (2, "", f"error: --max-len must be >= 1, got {max_len}\n")
+            argv = ("verify", "--suite", suite, "--max-len", max_len)
+            assert run(capsys, *argv, "--level", "1", "--cases", "3") == refused
+            assert run(capsys, *argv, "--level", "-1", "--cases", "3") == level_refused
+            code, out, _ = run(capsys, *argv, "--level", "1")
+            assert code == 0 and "failed: 0" in out
+
+
 def test_verify_more_cases_than_words_exits_2_at_once(capsys):
     # level 1: 3 points, 6 + 30 + 150 + 750 = 936 reduced words of length <= 4;
     # level 0: 1 point, 2 per length, 8 words

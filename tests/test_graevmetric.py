@@ -26,6 +26,8 @@ from graev.freegroup import (
 )
 from graev.graevmetric import (
     NormResult,
+    _memo_costs,
+    _pair_cost,
     _unit_costs,
     bidistances,
     cost_dp,
@@ -33,7 +35,6 @@ from graev.graevmetric import (
     graev_distance,
     graev_norm_bruteforce,
     graev_norm_dp,
-    scaled_norm_dp,
     trivial_norm_dp,
 )
 from graev.matching import Match, apply_match, is_match, match_from_values, match_maps, rho
@@ -251,7 +252,9 @@ def square_unit_costs(w):
 
 def test_unit_costs_equal_letter_distance():
     # column j holds letters 0..j, entry by entry the letter distance in units of
-    # 1/top, on raw words with identity letters, repeats and points up to depth 6
+    # 1/top, on raw words with identity letters, repeats and points up to depth 6;
+    # the memo-table builder of bidistances and the spelling search, fed _pair_cost
+    # and a fresh memo for every word, returns the same table column for column
     rng = random.Random(83)
     points = [Point(tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 6)))) for _ in range(4)]
     points += [Point((1, 0, 2, 0, 0, 1)), Point((1, 0, 2, 0, 0, 2))]  # first differ at 5
@@ -260,6 +263,9 @@ def test_unit_costs_equal_letter_distance():
         w = Word(tuple(rng.choice(letters) for _ in range(rng.randint(1, 12))))
         top, costs = _unit_costs(w)
         assert top == 1 << w.max_depth
+        spelling = [letters.index(x) for x in w.letters]
+        pair_cost = lambda x, y: _pair_cost(x, y, top)
+        assert list(map(list, _memo_costs(spelling, letters, {}, pair_cost, top))) == costs, w
         assert [len(column) for column in costs] == list(range(1, len(w) + 1)), w
         for j, y in enumerate(w.letters):
             assert costs[j][j] == letter_distance(IDENTITY, y) * top, w
@@ -292,7 +298,7 @@ def two_table_cost_dp(fix, pair):
 
 def two_table_scaled_norm_dp(w, factor):
     """The factor-scale interval DP with a separate column table: the
-    reference for scaled_norm_dp's one-matrix layout, value and every
+    reference for norm_theta_min's one-matrix layout, value and every
     choice."""
     n = len(w)
     unit, fix, pair = square_unit_costs(w)
@@ -411,7 +417,7 @@ def test_trivial_witness_dp_memory_pin():
     assert peak < 1.9 * 8 * n * n, peak / (8 * n * n)
 
 
-def test_scaled_norm_dp_equals_two_table_loop(tmp_path):
+def test_scaled_norm_theta_min_equals_two_table_loop(tmp_path):
     # up to 12 letters the closed-block rule rarely skips a split, so words of
     # 20-60 letters from every letter-cost family run under every scale too
     rng = random.Random(67)
@@ -421,7 +427,7 @@ def test_scaled_norm_dp_equals_two_table_loop(tmp_path):
         for w in short_words + long_words:
             value, choice = two_table_scaled_norm_dp(w, scale.factor)
             expected = NormResult(value, match_from_choices(choice, len(w)))
-            assert scaled_norm_dp(w, scale.factor) == expected, w
+            assert norm_theta_min(w, scale) == expected, w
 
 
 def literal_bruteforce(w):

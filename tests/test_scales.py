@@ -411,8 +411,8 @@ def test_spellings_are_evaluated_value_only_through_module_spelling_values(monke
     # a benchmark span can wrap the per-spelling function by this module-level
     # name: each evaluated spelling runs it once, value-only, the witness is read
     # back once per search, and no letter pair's distance is computed twice
-    evaluate = graev.scales.spelling_values
-    read_back = graev.scales.match_from_values
+    evaluate = graev.graevmetric.spelling_values
+    read_back = graev.graevmetric.match_from_values
     pair_cost = graev.graevmetric._pair_cost
     spellings, read_backs, pairs, oracle_spellings = [], [], [], []
 
@@ -421,11 +421,10 @@ def test_spellings_are_evaluated_value_only_through_module_spelling_values(monke
         return read_back(*args)
 
     monkeypatch.setattr(
-        graev.scales,
+        graev.graevmetric,
         "spelling_values",
         lambda search, s: spellings.append(s) or evaluate(search, s),
     )
-    monkeypatch.setattr(graev.scales, "match_from_values", counted_read_back)
     monkeypatch.setattr(graev.graevmetric, "match_from_values", counted_read_back)
     monkeypatch.setattr(
         graev.graevmetric,
@@ -437,19 +436,42 @@ def test_spellings_are_evaluated_value_only_through_module_spelling_values(monke
     assert (b.lower, b.upper) == (F(3, 2), F(7, 4))  # never closes: every spelling runs
     assert len(read_backs) == 1
     assert len(pairs) == len(set(pairs)) > 0
-    evaluated = len(spellings)
+    # the oracle's norm_theta_min runs spelling_values too: count the search's first
+    evaluated, distinct = len(spellings), len(set(spellings))
     oracle = graev.scales.norm_theta_min
     monkeypatch.setitem(
         globals(), "norm_theta_min", lambda w, s: oracle_spellings.append(w) or oracle(w, s)
     )
     assert b == exhaustive_bounds(w, WEIGHTED, 2, graev.scales.SEARCH_CAP)
-    assert evaluated == len(set(spellings)) == len(oracle_spellings) > 1
+    assert evaluated == distinct == len(oracle_spellings) > 1
     for seen in (spellings, read_backs, pairs):
         seen.clear()
     assert cli.main(["norm", "--scale", "weighted", "--budget", "1", "[1]"]) == 0
     assert capsys.readouterr().out == "lower 1/1 upper 1/1\n"
     assert len(spellings) == len(read_backs) == 1  # closes on the reduced spelling
     assert len(pairs) == len(set(pairs))
+
+
+def test_search_computes_factors_lazily():
+    # the reduced spelling runs in its own letters' unit: a search that closes
+    # there calls the factor once, for its one letter, however deep the alphabet;
+    # one that does not close calls it once per signed alphabet letter
+    base = weighted_scale()
+    calls = []
+    counted = Scale(
+        "counted",
+        base.evaluate,
+        declared_regular=True,
+        declared_dominating=True,
+        factor=lambda p: calls.append(p) or base.factor(p),
+    )
+    b = norm_bounds(word(pos(*[1] * 50)), counted, 1)
+    assert (b.lower, b.upper, len(calls)) == (1, 1, 1)
+    calls.clear()
+    w = reduce_word(parse_word("[1,2]^-1 [0]^-1 [1]"))
+    b = norm_bounds(w, counted, 2)
+    assert (b.lower, b.upper) == (F(3, 2), F(7, 4))
+    assert len(calls) == sum(1 for x in insertion_alphabet(w) if x.sign) == 6
 
 
 def test_declared_dominating(tmp_path):
