@@ -30,7 +30,7 @@ from .freegroup import (
     parse_word,
     reduce_word,
 )
-from .graevmetric import graev_norm_bruteforce
+from .graevmetric import graev_norm_bruteforce, graev_norm_dp
 from .matching import check_enumeration_cap, count_matches, enumerate_matches
 from .sampling import exhaustive_reduced_words, sample_corpus, sample_distinct_pairs
 from .scales import (
@@ -156,14 +156,13 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 def _cmd_dist(args: argparse.Namespace) -> int:
     u = reduce_word(parse_word(args.left))
     v = reduce_word(parse_word(args.right))
-    delta = norm_theta_min(multiply(invert(u), v), TRIVIAL_SCALE)
-    delta_inverse = norm_theta_min(multiply(u, invert(v)), TRIVIAL_SCALE)
-    value = delta.value + delta_inverse.value
+    products = multiply(invert(u), v), multiply(u, invert(v))
     if args.json:
+        delta, delta_inverse = (norm_theta_min(p, TRIVIAL_SCALE) for p in products)
         print(
             json.dumps(
                 {
-                    "value": format_rat(value),
+                    "value": format_rat(delta.value + delta_inverse.value),
                     "witness": {
                         "delta": delta.witness.serialize(),
                         "delta_inverse": delta_inverse.witness.serialize(),
@@ -174,7 +173,9 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             )
         )
     else:
-        print(format_rat(value))
+        # d(u, v) = N(u^-1 v) + N(u v^-1), two equal norms: the trivial-scale metric is
+        # two-sided invariant (see graevmetric.bidistances), so one value-only DP suffices
+        print(format_rat(2 * graev_norm_dp(min(products, key=len))))
     return 0
 
 

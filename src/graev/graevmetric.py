@@ -12,15 +12,18 @@ every match from matching.match_costs, not the matches, and unranks only the
 witness.  Both run on exact integers in units of 2^-max_depth, since every
 letter distance is a multiple of it, from one lower-triangular table per
 word: costs[j][i] = d(x_i^{-1}, x_j) pairs i < j, costs[j][j] = d(e, x_j)
-leaves j alone.  bidistances, the verify suites' route, builds that table
-for the DP's loop, cost_dp, from one letter-pair memo per call, and norms
-one product per pair, since the trivial-scale metric is two-sided invariant;
-each distinct cost table of the call is normed once.  Every other scale's
-norm is a search over spellings, index tuples into one alphabet, and
-cheapest_spelling runs every one: a Spellings holds what the search shares (a
-letter-pair memo, the factors, one unit), spelling_values gives one spelling's
-value matrix, and a single word is the one-spelling search.  _memo_costs fills
-a cost table from a letter-pair memo for bidistances and spelling_values alike.
+leaves j alone.  _unit_costs fills a word's table from coordinate-0 buckets:
+a pair costs the whole unit unless its signs are opposite and its points
+agree at coordinate 0, so only those pairs call first_difference.
+bidistances, the verify suites' route, builds that table for the DP's loop,
+cost_dp, from one letter-pair memo per call, and norms one product per pair,
+since the trivial-scale metric is two-sided invariant; each distinct cost
+table of the call is normed once.  Every other scale's norm is a search over
+spellings, index tuples into one alphabet, and cheapest_spelling runs every
+one: a Spellings holds what the search shares (a letter-pair memo, the
+factors, one unit), spelling_values gives one spelling's value matrix, and a
+single word is the one-spelling search.  _memo_costs fills a cost table from
+a letter-pair memo for bidistances and spelling_values alike.
 """
 
 from __future__ import annotations
@@ -51,16 +54,20 @@ class NormResult:
 def _unit_costs(w: Word) -> tuple[int, list[list[int]]]:
     # Letter distances in units of 2^-max_depth: costs[j][i] = d(x_i^{-1}, x_j) (i < j)
     # and costs[j][j] = d(e, x_j); 1 across signs (the identity included), 0 between
-    # identities, else 2^-k at the first coordinate k where points differ.
-    letters = w.letters
+    # identities, else 2^-k at the first coordinate k where points differ.  A first
+    # difference at 0 costs the whole unit, as a sign mismatch does, so column j starts
+    # as top and patches only the earlier letters of x_j^{-1}'s bucket: same sign as
+    # x_j^{-1} and same coordinate 0, () read as 0, or the identities' bucket (0, None).
     top = 1 << w.max_depth
-    costs = []
-    for j, y in enumerate(letters):
-        sign, column = -y.sign, [top] * j + [top if y.sign else 0]
-        for i, x in enumerate(letters[:j]):
-            if x.sign == sign:
-                k = first_difference(x.point, y.point) if sign else None
-                column[i] = 0 if k is None else top >> k
+    costs, buckets = [], {}  # (sign, coordinate 0) -> [(index, point)]
+    for j, y in enumerate(w.letters):
+        column, p = [top] * j, y.point
+        head = None if p is None else (p.coords or (0,))[0]
+        for i, q in buckets.get((-y.sign, head), ()):
+            k = None if p is None else first_difference(q, p)
+            column[i] = 0 if k is None else top >> k
+        buckets.setdefault((y.sign, head), []).append((j, p))
+        column.append(top if y.sign else 0)
         costs.append(column)
     return top, costs
 

@@ -1128,7 +1128,8 @@ def test_import_builds_no_parser():
 
 def test_out_of_memory_exits_3_with_one_line():
     # a 12,000-letter norm and a dist whose product has 12,000 letters, in a
-    # child capped at 400 MB: the letter-cost table alone needs about 1.1 GB
+    # child capped at 400 MB: the letter-cost table alone holds 72,006,000
+    # pointers, about 0.58 GB, and cost_dp's (n+1) x n value matrix about 1.15 GB
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("no RLIMIT_AS on this platform")

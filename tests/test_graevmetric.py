@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 from math import lcm
 from operator import add
@@ -16,6 +17,7 @@ from graev.freegroup import (
     Letter,
     Point,
     Word,
+    first_difference,
     invert,
     letter_distance,
     multiply,
@@ -271,6 +273,54 @@ def test_unit_costs_equal_letter_distance():
             assert costs[j][j] == letter_distance(IDENTITY, y) * top, w
             for i, x in enumerate(w.letters[:j]):
                 assert costs[j][i] == letter_distance(x.inverse(), y) * top, (w, i, j)
+
+
+def shared_head_words(rng):
+    """Seeded words of 20-60 letters whose points all share coordinate 0, () among
+    them: every opposite-sign pair lands in one coordinate-0 bucket."""
+    tails = [rng.choices(range(3), k=rng.randint(1, 5)) for _ in range(7)]
+    points = [Point(())] + [Point((0, *tail)) for tail in tails]
+    for n in (20, 33, 47, 60):
+        yield Word(tuple(Letter(rng.choice((1, -1)), rng.choice(points)) for _ in range(n)))
+
+
+def test_unit_costs_equal_square_unit_costs():
+    # the bucketed table is the two-table references' letter_distance table, entry by
+    # entry: on the long-word families, on words whose points all share coordinate 0
+    # (the buckets' worst case) and on raw words with identity letters and repeats
+    rng = random.Random(101)
+    words = [w for _, w in long_word_families(random.Random(103))]
+    words += shared_head_words(rng)
+    words += [random_raw_word(rng, rng.randint(1, 30)) for _ in range(200)]
+    words += [word(IDENTITY, pos(), IDENTITY, neg(0, 1), IDENTITY, pos(), neg(), IDENTITY)]
+    for w in words:
+        top, fix, pair = square_unit_costs(w)
+        assert _unit_costs(w) == (top, one_table(fix, pair)), w
+
+
+def test_unit_costs_call_first_difference_only_inside_buckets(monkeypatch):
+    # one first_difference call per pair i < j of opposite nonzero signs and equal
+    # coordinate 0 (() read as 0), none for any other pair: on [1] [2] ... [n], the
+    # out-of-memory test's shape, none at all
+    calls = []
+    counted = lambda p, q: calls.append((p, q)) or first_difference(p, q)
+    monkeypatch.setattr("graev.graevmetric.first_difference", counted)
+    rng = random.Random(107)
+    words = [Word(tuple(pos(k) for k in range(1, n + 1))) for n in (1, 2, 10, 50)]
+    words += [w for _, w in long_word_families(random.Random(109))]
+    words += shared_head_words(rng)
+    words += [random_raw_word(rng, rng.randint(1, 30)) for _ in range(200)]
+    head = lambda x: (x.point.coords or (0,))[0]
+    for w in words:
+        calls.clear()
+        _unit_costs(w)
+        bucket = [
+            (x.point, y.point)
+            for j, y in enumerate(w.letters)
+            for x in w.letters[:j]
+            if x.sign == -y.sign != 0 and head(x) == head(y)
+        ]
+        assert Counter(calls) == Counter(bucket), w
 
 
 def two_table_cost_dp(fix, pair):
