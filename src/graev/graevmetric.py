@@ -22,8 +22,10 @@ table of the call is normed once.  Every other scale's norm is a search over
 spellings, index tuples into one alphabet, and cheapest_spelling runs every
 one: a Spellings holds what the search shares (a letter-pair memo, the
 factors, one unit), spelling_values gives one spelling's value matrix, and a
-single word is the one-spelling search.  _memo_costs fills a cost table from
-a letter-pair memo for bidistances and spelling_values alike.
+single word is the one-spelling search.  _memo_costs fills an integer cost
+table from a letter-pair memo, by _pair_cost at the caller's unit, for
+bidistances and spelling_values alike; a search without a factor keeps its
+memo at 2^depth and reads each table as Fractions.
 """
 
 from __future__ import annotations
@@ -153,21 +155,21 @@ def ends_dp(alone: list, ends: Callable) -> list[list]:
 
 
 def _memo_costs(
-    spelling: Sequence[int], letters: Sequence[Letter], pairs: dict, pair_cost: Callable, alone
-) -> tuple[tuple, ...]:
-    """_unit_costs' table, as a tuple of tuples, for the letters of spelling, indices into
-    letters: costs[j][i] (i < j) is pair_cost(letters[a], letters[b]) for the spelling's
-    a and b, computed into the memo pairs on first use, and costs[j][j] is alone, the
-    cost of a letter alone, or alone * 0 for the identity."""
-    costs, zero = [], alone * 0
+    spelling: Sequence[int], letters: Sequence[Letter], pairs: dict, unit: int
+) -> tuple[tuple[int, ...], ...]:
+    """_unit_costs' table, as a tuple of tuples, in units of 1 / unit, unit a multiple of
+    2^depth, for the letters of spelling, indices into letters: costs[j][i] (i < j) is
+    _pair_cost(letters[a], letters[b], unit) for the spelling's a and b, computed into
+    the memo pairs on first use, and costs[j][j] is unit, or 0 for the identity."""
+    costs = []
     for j, b in enumerate(spelling):
         column = []
         for a in spelling[:j]:
             c = pairs.get((a, b))
             if c is None:
-                c = pairs[a, b] = pair_cost(letters[a], letters[b])
+                c = pairs[a, b] = _pair_cost(letters[a], letters[b], unit)
             column.append(c)
-        column.append(alone if letters[b].sign else zero)
+        column.append(unit if letters[b].sign else 0)
         costs.append(tuple(column))
     return tuple(costs)
 
@@ -179,17 +181,18 @@ class Spellings:
     spelling holds, first the spelling whose letters and length set the first unit, and
     scale is scale(x, r), with its factor or None.  Each letter pair's cost,
     d(letters[a]^{-1}, letters[b]), is computed once per search, on first use, into the
-    memo pairs.  With a factor, scale(x, r) = r * factor(x.point) off the identity,
-    values are integers in one unit, 1 / unit with unit = 2^depth * den^floor(length/2),
-    den the lcm of the used letters' factor denominators and length the longest
-    spelling: an interval of m letters nests at most floor(m/2) factors, so every
-    division by den is exact, and one unit for every spelling keeps every comparison
-    and tie.  Factors and values may be negative.  widen(used, length) moves to more
-    letters or longer spellings: the new unit is a multiple of the old, so the memo is
-    rescaled, not recomputed, and a value times the ratio it returns is the same value
-    in the new unit.  Without a factor, values are Fractions, the pair term calls
-    scale(x, r) itself and widen returns 1.  The memo holds only the pairs some
-    spelling meets, the factors only used letters'."""
+    memo pairs, an integer.  With a factor, scale(x, r) = r * factor(x.point) off the
+    identity, values are integers in one unit, 1 / unit with unit = 2^depth *
+    den^floor(length/2), den the lcm of the used letters' factor denominators and length
+    the longest spelling: an interval of m letters nests at most floor(m/2) factors, so
+    every division by den is exact, and one unit for every spelling keeps every
+    comparison and tie.  Factors and values may be negative.  widen(used, length) moves
+    to more letters or longer spellings: the new unit is a multiple of the old, so the
+    memo is rescaled, not recomputed, and a value times the ratio it returns is the same
+    value in the new unit.  Without a factor, the memo stays in units of 1 / top, top =
+    2^depth, spelling_values reads its entries as Fractions, values are Fractions, the
+    pair term calls scale(x, r) itself and widen returns 1.  The memo holds only the pairs
+    some spelling meets, the factors only used letters'."""
 
     def __init__(
         self, letters: Sequence[Letter], depth: int, first: Sequence[int], scale: Callable
@@ -197,16 +200,9 @@ class Spellings:
         self.letters, self.pairs, self.factor, self.scale = letters, {}, scale.factor, None
         self.top, self.unit, self.raw = 1 << depth, 1, {}  # raw: the used letters' factors
         if self.factor is None:
-            self.scale, self.one = scale, Rat(1)
+            self.scale = scale
         else:
             self.widen(first, len(first))
-
-    def cost(self, x: Letter, y: Letter) -> int | Rat:
-        # d(x^{-1}, y) in the unit; a method, as a closure over self would keep every
-        # search alive until the cyclic garbage collector runs
-        if self.factor is None:
-            return Rat(_pair_cost(x, y, self.top), self.top)
-        return _pair_cost(x, y, self.unit)
 
     def widen(self, used: Iterable[int], length: int) -> int:
         if self.factor is None:
@@ -216,7 +212,7 @@ class Spellings:
             if a not in raw:
                 raw[a] = 1 if letters[a].point is None else self.factor(letters[a].point)
         den = self.den = lcm(*(f.denominator for f in raw.values()))
-        unit = self.one = self.top * den ** (length // 2)
+        unit = self.top * den ** (length // 2)
         ratio, self.unit = unit // self.unit, unit
         self.pairs = {key: cost * ratio for key, cost in self.pairs.items()}
         # F_a = factor_a * den, an integer
@@ -229,7 +225,8 @@ def spelling_values(search: Spellings, spelling: Sequence[int]) -> tuple[list[li
     unit) and its pair term, for matching.match_from_values.  The ends of a pair pay
     d(x_i^{-1}, x_j) + max(scale(x_i^{-1}, r), scale(x_j, r)), r the inner value: with a
     factor, r * F_i and r * F_j over den."""
-    costs = _memo_costs(spelling, search.letters, search.pairs, search.cost, search.one)
+    unit = search.unit if search.scale is None else search.top
+    costs = _memo_costs(spelling, search.letters, search.pairs, unit)
     if search.scale is None:
         den, f = search.den, [search.factors[a] for a in spelling]
 
@@ -237,6 +234,7 @@ def spelling_values(search: Spellings, spelling: Sequence[int]) -> tuple[list[li
             return costs[j][i] + max(r * f[i], r * f[j]) // den
 
     else:
+        costs = [[Rat(c, unit) for c in column] for column in costs]  # over 2^depth
         scale, ys = search.scale, [search.letters[b] for b in spelling]
         xs = [y.inverse() for y in ys]
 
@@ -325,7 +323,6 @@ def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
         sides[key] = tuple(numbers), tuple(i ^ 1 for i in reversed(numbers))
     top = 1 << max((x.point.depth for x in letters), default=0)
     pair_costs: dict[tuple[int, int], int] = {}  # (x_i, x_j) -> d(x_i^-1, x_j)
-    cost = lambda x, y: _pair_cost(x, y, top)
     distances: dict[tuple[tuple[int, ...], ...], Rat] = {(): Rat(0)}  # keyed by cost table
 
     def distance(a: tuple[int, ...], b: tuple[int, ...]) -> Rat:
@@ -335,7 +332,7 @@ def bidistances(pairs: list[tuple[ReducedWord, ReducedWord]]) -> list[Rat]:
             k += 1
         key = a[: len(a) - k] + b[k:]
         # no identity letters, so every letter alone costs the whole unit
-        table = _memo_costs(key, letters, pair_costs, cost, top)
+        table = _memo_costs(key, letters, pair_costs, top)
         value = distances.get(table)
         if value is None:
             value = distances[table] = Rat(2 * cost_dp(table)[0][-1], top)

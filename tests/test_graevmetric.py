@@ -29,7 +29,6 @@ from graev.freegroup import (
 from graev.graevmetric import (
     NormResult,
     _memo_costs,
-    _pair_cost,
     _unit_costs,
     bidistances,
     cost_dp,
@@ -255,8 +254,9 @@ def square_unit_costs(w):
 def test_unit_costs_equal_letter_distance():
     # column j holds letters 0..j, entry by entry the letter distance in units of
     # 1/top, on raw words with identity letters, repeats and points up to depth 6;
-    # the memo-table builder of bidistances and the spelling search, fed _pair_cost
-    # and a fresh memo for every word, returns the same table column for column
+    # the memo-table builder of bidistances and the spelling search, with a fresh
+    # memo for every word, returns the same table column for column at top, and m
+    # times it at a widened unit top * m, as the factor search passes after widen
     rng = random.Random(83)
     points = [Point(tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 6)))) for _ in range(4)]
     points += [Point((1, 0, 2, 0, 0, 1)), Point((1, 0, 2, 0, 0, 2))]  # first differ at 5
@@ -266,8 +266,10 @@ def test_unit_costs_equal_letter_distance():
         top, costs = _unit_costs(w)
         assert top == 1 << w.max_depth
         spelling = [letters.index(x) for x in w.letters]
-        pair_cost = lambda x, y: _pair_cost(x, y, top)
-        assert list(map(list, _memo_costs(spelling, letters, {}, pair_cost, top))) == costs, w
+        assert list(map(list, _memo_costs(spelling, letters, {}, top))) == costs, w
+        m = 3 * 5**2
+        widened = [[c * m for c in column] for column in costs]
+        assert list(map(list, _memo_costs(spelling, letters, {}, top * m))) == widened, w
         assert [len(column) for column in costs] == list(range(1, len(w) + 1)), w
         for j, y in enumerate(w.letters):
             assert costs[j][j] == letter_distance(IDENTITY, y) * top, w

@@ -410,11 +410,12 @@ def test_norm_bounds_equals_exhaustive_search(tmp_path, monkeypatch):
 def test_spellings_are_evaluated_value_only_through_module_spelling_values(monkeypatch, capsys):
     # a benchmark span can wrap the per-spelling function by this module-level
     # name: each evaluated spelling runs it once, value-only, the witness is read
-    # back once per search, and no letter pair's distance is computed twice
+    # back once per search, and no letter pair's distance is computed twice, in
+    # the factor search and in the Fraction search of a callable-only copy alike
     evaluate = graev.graevmetric.spelling_values
     read_back = graev.graevmetric.match_from_values
     pair_cost = graev.graevmetric._pair_cost
-    spellings, read_backs, pairs, oracle_spellings = [], [], [], []
+    spellings, read_backs, pairs, units, oracle_spellings = [], [], [], [], []
 
     def counted_read_back(*args):
         read_backs.append(args)
@@ -429,7 +430,7 @@ def test_spellings_are_evaluated_value_only_through_module_spelling_values(monke
     monkeypatch.setattr(
         graev.graevmetric,
         "_pair_cost",
-        lambda x, y, top: pairs.append((x, y)) or pair_cost(x, y, top),
+        lambda x, y, top: pairs.append((x, y)) or units.append(top) or pair_cost(x, y, top),
     )
     w = reduce_word(parse_word("[1,2]^-1 [0]^-1 [1]"))
     b = norm_bounds(w, WEIGHTED, 2)
@@ -450,6 +451,14 @@ def test_spellings_are_evaluated_value_only_through_module_spelling_values(monke
     assert capsys.readouterr().out == "lower 1/1 upper 1/1\n"
     assert len(spellings) == len(read_backs) == 1  # closes on the reduced spelling
     assert len(pairs) == len(set(pairs))
+    # without a factor the memo holds integers at 2^depth, read back as Fractions
+    for seen in (spellings, read_backs, pairs, units):
+        seen.clear()
+    b = norm_bounds(w, Scale("bare", WEIGHTED.evaluate, True, True), 2)
+    assert (b.lower, b.upper) == (F(3, 2), F(7, 4))  # as under WEIGHTED
+    assert len(read_backs) == 1
+    assert len(pairs) == len(set(pairs)) == 49
+    assert set(units) == {4}  # 2^depth, the alphabet's deepest letter [1,2] at depth 2
 
 
 def test_search_computes_factors_lazily():
