@@ -20,19 +20,21 @@ cost_dp, from one letter-pair memo per call, and norms one product per pair,
 since the trivial-scale metric is two-sided invariant; each distinct cost
 table of the call is normed once.  Every other scale's norm is a search over
 spellings, index tuples into one alphabet, and cheapest_spelling runs every
-one: a Spellings holds what the search shares (a letter-pair memo, the
-factors, one unit), spelling_values gives one spelling's value matrix, and a
-single word is the one-spelling search.  _memo_costs fills an integer cost
-table from a letter-pair memo, by _pair_cost at the caller's unit, for
-bidistances and spelling_values alike; a search without a factor keeps its
-memo at 2^depth and reads each table as Fractions.
+one from the alphabet, the spellings and the scale alone: a Spellings holds
+what the search shares (a letter-pair memo, the factors, and one unit, from
+the alphabet's deepest letter, the used factors and the longest spelling),
+spelling_values gives one spelling's value matrix, and a single word is the
+one-spelling search.  _memo_costs fills an integer cost table from a
+letter-pair memo, by _pair_cost at the caller's unit, for bidistances and
+spelling_values alike; a search without a factor keeps its memo at 2^depth
+and reads each table as Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .freegroup import (
     Letter,
@@ -177,40 +179,36 @@ def _memo_costs(
 class Spellings:
     """What every spelling of one non-trivial scale norm search shares.
 
-    A spelling is a sequence of indices into letters; depth is the deepest letter any
-    spelling holds, first the spelling whose letters and length set the first unit, and
-    scale is scale(x, r), with its factor or None.  Each letter pair's cost,
-    d(letters[a]^{-1}, letters[b]), is computed once per search, on first use, into the
-    memo pairs, an integer.  With a factor, scale(x, r) = r * factor(x.point) off the
-    identity, values are integers in one unit, 1 / unit with unit = 2^depth *
-    den^floor(length/2), den the lcm of the used letters' factor denominators and length
-    the longest spelling: an interval of m letters nests at most floor(m/2) factors, so
-    every division by den is exact, and one unit for every spelling keeps every
-    comparison and tie.  Factors and values may be negative.  widen(used, length) moves
-    to more letters or longer spellings: the new unit is a multiple of the old, so the
-    memo is rescaled, not recomputed, and a value times the ratio it returns is the same
-    value in the new unit.  Without a factor, the memo stays in units of 1 / top, top =
-    2^depth, spelling_values reads its entries as Fractions, values are Fractions, the
-    pair term calls scale(x, r) itself and widen returns 1.  The memo holds only the pairs
-    some spelling meets, the factors only used letters'."""
+    A spelling is a sequence of indices into letters; first is the spelling whose
+    letters and length set the first unit, and scale is scale(x, r), with its factor or
+    None.  top = 2^depth, depth the deepest of letters, as in bidistances.  Each letter
+    pair's cost, d(letters[a]^{-1}, letters[b]), is computed once per search, on first
+    use, into the memo pairs, an integer.  With a factor, scale(x, r) = r *
+    factor(x.point) off the identity, values are integers in one unit, 1 / unit with
+    unit = top * den^floor(length/2), den the lcm of the used letters' factor
+    denominators and length the longest spelling: an interval of m letters nests at
+    most floor(m/2) factors, so every division by den is exact, and one unit for every
+    spelling keeps every comparison and tie.  Factors and values may be negative.
+    widen(used, length) moves to more letters or longer spellings: the new unit is a
+    multiple of the old, so the memo is rescaled, not recomputed, and a value times the
+    ratio it returns is the same value in the new unit.  Without a factor, unit is 1,
+    the memo stays in units of 1 / top, spelling_values reads its entries as Fractions,
+    values are Fractions, the pair term calls scale(x, r) itself and widen returns 1.
+    The memo holds only the pairs some spelling meets, the factors only used letters'."""
 
-    def __init__(
-        self, letters: Sequence[Letter], depth: int, first: Sequence[int], scale: Callable
-    ):
-        self.letters, self.pairs, self.factor, self.scale = letters, {}, scale.factor, None
-        self.top, self.unit, self.raw = 1 << depth, 1, {}  # raw: the used letters' factors
-        if self.factor is None:
-            self.scale = scale
-        else:
-            self.widen(first, len(first))
+    def __init__(self, letters: Sequence[Letter], first: Sequence[int], scale: Callable):
+        self.letters, self.scale, self.pairs, self.unit = letters, scale, {}, 1
+        self.top = 1 << max((x.point.depth for x in letters if x.point is not None), default=0)
+        self.raw = {}  # the used letters' factors
+        self.widen(first, len(first))
 
     def widen(self, used: Iterable[int], length: int) -> int:
-        if self.factor is None:
+        factor, letters, raw = self.scale.factor, self.letters, self.raw
+        if factor is None:
             return 1
-        letters, raw = self.letters, self.raw
         for a in used:
             if a not in raw:
-                raw[a] = 1 if letters[a].point is None else self.factor(letters[a].point)
+                raw[a] = 1 if letters[a].point is None else factor(letters[a].point)
         den = self.den = lcm(*(f.denominator for f in raw.values()))
         unit = self.top * den ** (length // 2)
         ratio, self.unit = unit // self.unit, unit
@@ -225,48 +223,48 @@ def spelling_values(search: Spellings, spelling: Sequence[int]) -> tuple[list[li
     unit) and its pair term, for matching.match_from_values.  The ends of a pair pay
     d(x_i^{-1}, x_j) + max(scale(x_i^{-1}, r), scale(x_j, r)), r the inner value: with a
     factor, r * F_i and r * F_j over den."""
-    unit = search.unit if search.scale is None else search.top
-    costs = _memo_costs(spelling, search.letters, search.pairs, unit)
-    if search.scale is None:
-        den, f = search.den, [search.factors[a] for a in spelling]
-
-        def ends(i: int, j: int, r: int) -> int:
-            return costs[j][i] + max(r * f[i], r * f[j]) // den
-
-    else:
-        costs = [[Rat(c, unit) for c in column] for column in costs]  # over 2^depth
-        scale, ys = search.scale, [search.letters[b] for b in spelling]
+    scale = search.scale
+    if scale.factor is None:
+        costs = _memo_costs(spelling, search.letters, search.pairs, search.top)
+        costs = [[Rat(c, search.top) for c in column] for column in costs]
+        ys = [search.letters[b] for b in spelling]
         xs = [y.inverse() for y in ys]
 
         def ends(i: int, j: int, inner: Rat) -> Rat:
             return costs[j][i] + max(scale(xs[i], inner), scale(ys[j], inner))
+
+    else:
+        costs = _memo_costs(spelling, search.letters, search.pairs, search.unit)
+        den, f = search.den, [search.factors[a] for a in spelling]
+
+        def ends(i: int, j: int, r: int) -> int:
+            return costs[j][i] + max(r * f[i], r * f[j]) // den
 
     return ends_dp([column[-1] for column in costs], ends), ends
 
 
 def cheapest_spelling(
     letters: Sequence[Letter],
-    depth: int,
-    spellings: Iterable[Sequence[int]],
-    length: int,
+    spellings: Collection[Sequence[int]],
     scale: Callable[[Letter, Rat], Rat],
     floor: Rat | None = None,
 ) -> tuple[Rat, Match, Sequence[int]]:
-    """The first cheapest of spellings, index sequences into letters, none deeper than
-    depth nor longer than length, under a non-trivial scale, scale(x, r) with its
-    factor or None: its norm, the match read back from its value matrix, and the
-    spelling.  One Spellings serves the search.  The first spelling runs in its own
-    letters' unit, so a search that ends there computes no other factor; the unit
-    widens to every letter and length just before the second.  Each spelling is
-    evaluated value-only by spelling_values and compared as an integer (a Fraction
-    without a factor); the witness is read back for the winner only.  floor, a value
-    no spelling goes below, ends the search once the cheapest reaches it."""
+    """The first cheapest of spellings, index sequences into letters, under a
+    non-trivial scale, scale(x, r) with its factor or None: its norm, the match read
+    back from its value matrix, and the spelling.  One Spellings serves the search.  The
+    first spelling runs in its own letters' unit, so a search that ends there computes
+    no other factor; just before the second, the unit widens to every letter and to the
+    longest spelling, read once.  Each spelling is evaluated value-only by
+    spelling_values and compared as an integer (a Fraction without a factor); the
+    witness is read back for the winner only.  floor, a value no spelling goes below,
+    ends the search once the cheapest reaches it."""
     best = None  # the first cheapest: value in search's unit, matrix, pair term, spelling
     for k, spelling in enumerate(spellings):
         if not k:
-            search = Spellings(letters, depth, spelling, scale)
+            search = Spellings(letters, spelling, scale)
         elif k == 1:
-            best = best[0] * search.widen(range(len(letters)), length), *best[1:]
+            ratio = search.widen(range(len(letters)), max(map(len, spellings)))
+            best = best[0] * ratio, *best[1:]
         values, ends = spelling_values(search, spelling)
         if best is None or values[0][-1] < best[0]:
             best = values[0][-1], values, ends, spelling

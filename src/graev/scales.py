@@ -181,12 +181,11 @@ def norm_theta_min(w: Word, scale: Scale) -> NormResult:
     are monotone in their second argument.  The input word is used as
     given (it is not reduced).  The trivial scale runs graevmetric.cost_dp;
     every other scale is graevmetric.cheapest_spelling's one-spelling search,
-    w's letters their own alphabet, on cost_dp's closed-block loop ends_dp:
-    with integers for a scale with a factor, else with Fractions.
+    w's letters their own alphabet.
     """
     if scale is TRIVIAL_SCALE:
         return trivial_norm_dp(w)
-    value, witness, _ = cheapest_spelling(w.letters, w.max_depth, [range(len(w))], len(w), scale)
+    value, witness, _ = cheapest_spelling(w.letters, [range(len(w))], scale)
     return NormResult(value, witness)
 
 
@@ -249,9 +248,8 @@ def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedN
     so the reduced w ends its search.
 
     graevmetric.cheapest_spelling runs the search, with lower as its floor
-    for a scale declared dominating only: the letter pairs' costs are each
-    computed once, each spelling's norm value-only, and the witness is read
-    back, and the spelling's Word built, for the winner only.
+    for a scale declared dominating only; the spelling's Word is built for
+    the winner only.
     """
     if insertion_budget < 0:
         raise ValueError("insertion budget must be >= 0")
@@ -286,9 +284,7 @@ def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedN
         return BoundedNorm(exact.value, exact.value, rw, exact.witness)
     lower = graev_norm_dp(rw)
     floor = lower if scale.declared_dominating else None
-    upper, witness, spelling = cheapest_spelling(
-        alphabet, rw.max_depth, spellings, len(rw) + 2 * insertion_budget, scale, floor
-    )
+    upper, witness, spelling = cheapest_spelling(alphabet, spellings, scale, floor)
     return BoundedNorm(lower, upper, Word(tuple([alphabet[i] for i in spelling])), witness)
 
 

@@ -534,7 +534,7 @@ def test_corpus_and_scale_files_share_one_line_format(capsys, tmp_path, kind):
 # --- corpus parsing ------------------------------------------------------------------
 
 
-def test_parse_corpus_stream(tmp_path):
+def test_parse_corpus_reduces_each_line(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("# corpus\n[1] [2]^-1\ne\n\n[1] [1]^-1  # cancels\n")
     words = parse_corpus(str(path))

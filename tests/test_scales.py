@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,7 @@ from graev.freegroup import (
     reduce_word,
     word,
 )
-from graev.graevmetric import graev_norm_dp
+from graev.graevmetric import cheapest_spelling, graev_norm_dp
 from graev.matching import Match, enumerate_matches, is_match
 from graev.sampling import sample_match, sample_reduced_word
 from graev.scales import (
@@ -58,6 +59,8 @@ R_GRID = [F(0), F(1, 8), F(1, 2), F(1), F(2)]
 EPS_TAIL = [F(1, 64), F(1, 256)]
 # every one-letter word random_raw_word can draw: the n = 1 case of the integer kernels
 ONE_LETTER_WORDS = [Word((x,)) for x in RAW_LETTERS]
+# factors of four denominators and both signs, so the search unit takes every one
+ODD_SCALE_TEXT = "0 = -3/7\n1 = 5/11\n2 = -2/3\n3 = 1/5\n"
 
 
 def broken_scale():
@@ -481,6 +484,51 @@ def test_search_computes_factors_lazily():
     b = norm_bounds(w, counted, 2)
     assert (b.lower, b.upper) == (F(3, 2), F(7, 4))
     assert len(calls) == sum(1 for x in insertion_alphabet(w) if x.sign) == 6
+
+
+def test_every_evaluated_spelling_is_exact_in_the_search_unit(tmp_path, monkeypatch):
+    # not only the winner: each spelling's value in the one search unit is its
+    # own one-spelling search's, so the unit covers the longest spelling
+    path = tmp_path / "odd.scale"
+    path.write_text(ODD_SCALE_TEXT)
+    evaluate, seen = graev.graevmetric.spelling_values, []
+
+    def recorded(search, spelling):
+        values, ends = evaluate(search, spelling)
+        seen.append((search.letters, spelling, F(values[0][-1], search.unit)))
+        return values, ends
+
+    monkeypatch.setattr(graev.graevmetric, "spelling_values", recorded)
+    words = ["[1,2,3]", "[0,0,0,1] [0,0,0,2]^-1", "[1,2,4]^-1 [1,2,3]"]
+    bases = [load_scale_file(str(path)), weighted_scale({0: F(3, 7), 1: F(5, 11), 2: F(2, 3)})]
+    for scale in [replace(s, declared_dominating=False) for s in bases]:  # no floor
+        for w in words:
+            seen.clear()
+            norm_bounds(parse_word(w), scale, 2)
+            evaluated = list(seen)
+            assert len({spelling for _, spelling, _ in evaluated}) == len(evaluated) > 1
+            for letters, spelling, value in evaluated:
+                one = Word(tuple(letters[i] for i in spelling))
+                assert norm_theta_min(one, scale).value == value, (w, spelling)
+
+
+def test_search_unit_covers_letters_the_first_spelling_lacks(tmp_path):
+    # the first spelling holds only the shallow [1]: the unit still comes from
+    # the alphabet's deepest letter, with or without a factor
+    path = tmp_path / "odd.scale"
+    path.write_text(ODD_SCALE_TEXT)
+    points = [(1,), (1, 2, 3), (1, 2, 4), (1, 2, 3, 5)]
+    letters = [x for p in points for x in (pos(*p), neg(*p))] + [IDENTITY]
+    rng = random.Random(113)
+    spelling = lambda: tuple(rng.randrange(len(letters)) for _ in range(rng.randint(2, 8)))
+    rounds = [[(0,)] + [spelling() for _ in range(4)] for _ in range(40)]
+    scales = [load_scale_file(str(path)), weighted_scale()]
+    for scale in scales + [Scale(s.name, s.evaluate) for s in scales]:
+        for spellings in rounds:
+            norms = [norm_theta_min(Word(tuple(letters[i] for i in s)), scale) for s in spellings]
+            k = min(range(len(spellings)), key=lambda k: norms[k].value)  # the first minimum
+            expected = norms[k].value, norms[k].witness, spellings[k]
+            assert cheapest_spelling(letters, spellings, scale) == expected, (scale.name, spellings)
 
 
 def test_declared_dominating(tmp_path):
