@@ -4,30 +4,33 @@ Two independent routes compute the same minimum-cost rewriting over
 non-crossing matchings: explicit enumeration (the permanent oracle, under
 matching.check_enumeration_cap because match counts grow like Motzkin
 numbers) and an interval dynamic program (the uncapped scalable path, still
-cubic in the worst case though it splits only after closed blocks: cost_dp
-for the trivial scale, ends_dp with the caller's pair term for every other)
-whose one value matrix, with no column copy, also yields a minimizing match,
-read back by matching.match_from_values.  The enumeration takes the cost of
-every match from matching.match_costs, not the matches, and unranks only the
-witness.  Both run on exact integers in units of 2^-max_depth, since every
-letter distance is a multiple of it, from one lower-triangular table per
-word: costs[j][i] = d(x_i^{-1}, x_j) pairs i < j, costs[j][j] = d(e, x_j)
-leaves j alone.  _unit_costs fills a word's table from coordinate-0 buckets:
-a pair costs the whole unit unless its signs are opposite and its points
-agree at coordinate 0, so only those pairs call first_difference.
-bidistances, the verify suites' route, builds that table for the DP's loop,
-cost_dp, from one letter-pair memo per call, and norms one product per pair,
-since the trivial-scale metric is two-sided invariant; each distinct cost
-table of the call is normed once.  Every other scale's norm is a search over
-spellings, index tuples into one alphabet, and cheapest_spelling runs every
-one from the alphabet, the spellings and the scale alone: a Spellings holds
-what the search shares (a letter-pair memo, the factors, and one unit, from
-the alphabet's deepest letter, the used factors and the longest spelling),
-spelling_values gives one spelling's value matrix, and a single word is the
-one-spelling search.  _memo_costs fills an integer cost table from a
-letter-pair memo, by _pair_cost at the caller's unit, for bidistances and
-spelling_values alike; a search without a factor keeps its memo at 2^depth
-and reads each table as Fractions.
+cubic in the worst case though it splits only after closed blocks, with one
+loop per kind of pair term: cost_dp for the trivial scale, factor_dp's
+inline integer term for a scale with a per-letter factor, and ends_dp with
+the caller's Fraction pair term for a callable-only scale) whose one value
+matrix, with no column copy, also yields a minimizing match, read back by
+matching.match_from_values.  The enumeration takes the cost of every match
+from matching.match_costs, not the matches, and unranks only the witness.
+Both run on exact integers in units of 2^-max_depth, since every letter
+distance is a multiple of it, from one lower-triangular table per word:
+costs[j][i] = d(x_i^{-1}, x_j) pairs i < j, costs[j][j] = d(e, x_j) leaves j
+alone.  _unit_costs fills a word's table from coordinate-0 buckets: a pair
+costs the whole unit unless its signs are opposite and its points agree at
+coordinate 0, so only those pairs call first_difference.  bidistances, the
+verify suites' route, builds that table for the DP's loop, cost_dp, from one
+letter-pair memo per call, and norms one product per pair, since the
+trivial-scale metric is two-sided invariant; each distinct cost table of the
+call is normed once.  Every other scale's norm is a search over spellings,
+index tuples into one alphabet, and cheapest_spelling runs every one from
+the alphabet, the first spelling, a callable for the rest and the scale
+alone, asking for the rest only if the first leaves the search open: a
+Spellings holds what the search shares (a letter-pair memo, the factors, and
+one unit, from the alphabet's deepest letter, the used factors and the
+longest spelling), spelling_values gives one spelling's value matrix, and a
+single word is the one-spelling search.  _memo_costs fills an integer cost
+table from a letter-pair memo, by _pair_cost at the caller's unit, for
+bidistances and spelling_values alike; a search without a factor keeps its
+memo at 2^depth and reads each table as Fractions.
 """
 
 from __future__ import annotations
@@ -140,10 +143,11 @@ def cost_dp(costs: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def ends_dp(alone: list, ends: Callable) -> list[list]:
     """cost_dp's closed-block loop, exact for any values, with C[i][i] = alone[i] and the
-    caller's pair term ends(i, j, C[i+1][j-1]), one call per cell i < j.  The empty interval
+    caller's pair term ends(i, j, C[i+1][j-1]), one call per cell i < j: the Fraction pair
+    term of a callable-only scale, and the test oracle for factor_dp.  The empty interval
     (lower triangle, row n) is alone[0] * 0, in the caller's number type.  Returns row as
     cost_dp does, row[0][-1] the value; matching.match_from_values reads the witness back
-    from it with the same ends, once per search: spelling_values runs it value-only."""
+    from it with the same ends."""
     n = len(alone)
     row = [[alone[0] * 0] * n for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
@@ -153,6 +157,31 @@ def ends_dp(alone: list, ends: Callable) -> list[list]:
             v = ends(i, j, inner[j - 1])
             if v < here[j]:  # [i, j] is closed
                 here[j:] = [b if b < v + c else v + c for b, c in zip(here[j:], row[j + 1][j:])]
+    return row
+
+
+def factor_dp(costs: Sequence[Sequence[int]], f: Sequence[int], den: int) -> list[list[int]]:
+    """cost_dp's closed-block loop on one lower-triangular integer table, with the factor
+    pair term inline: costs[j][i] + max(r * f[i], r * f[j]) // den, r = C[i+1][j-1], f the
+    integer factors and den as in Spellings, which makes every division exact.  Values
+    and factors may be negative: the closed-block rule uses only the min.  Returns row as
+    cost_dp does, row[0][-1] the value; ends_dp with the same pair term is its oracle."""
+    n = len(costs)
+    row = [[0] * n for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        here, inner, alone, fi = row[i], row[i + 1], costs[i][i], f[i]
+        here[i:] = [alone + c for c in inner[i:]]
+        for j in range(i + 1, n - 1):
+            r = inner[j - 1]
+            a, b = r * fi, r * f[j]
+            v = costs[j][i] + (a if a > b else b) // den  # the pair term
+            if v < here[j]:  # [i, j] is closed
+                here[j:] = [x if x < v + y else v + y for x, y in zip(here[j:], row[j + 1][j:])]
+        r = inner[n - 2]  # the last column has nothing left to push into
+        a, b = r * fi, r * f[-1]
+        v = costs[-1][i] + (a if a > b else b) // den
+        if v < here[-1]:
+            here[-1] = v
     return row
 
 
@@ -219,10 +248,11 @@ class Spellings:
 
 
 def spelling_values(search: Spellings, spelling: Sequence[int]) -> tuple[list[list], Callable]:
-    """The value matrix of one spelling (ends_dp's row, row[0][-1] its norm in search's
-    unit) and its pair term, for matching.match_from_values.  The ends of a pair pay
-    d(x_i^{-1}, x_j) + max(scale(x_i^{-1}, r), scale(x_j, r)), r the inner value: with a
-    factor, r * F_i and r * F_j over den."""
+    """The value matrix of one spelling (row[0][-1] its norm in search's unit) and its pair
+    term, for matching.match_from_values.  The ends of a pair pay d(x_i^{-1}, x_j) +
+    max(scale(x_i^{-1}, r), scale(x_j, r)), r the inner value: with a factor, r * F_i and
+    r * F_j over den, which factor_dp computes inline; without one, ends_dp calls the
+    Fraction pair term."""
     scale = search.scale
     if scale.factor is None:
         costs = _memo_costs(spelling, search.letters, search.pairs, search.top)
@@ -233,43 +263,50 @@ def spelling_values(search: Spellings, spelling: Sequence[int]) -> tuple[list[li
         def ends(i: int, j: int, inner: Rat) -> Rat:
             return costs[j][i] + max(scale(xs[i], inner), scale(ys[j], inner))
 
-    else:
-        costs = _memo_costs(spelling, search.letters, search.pairs, search.unit)
-        den, f = search.den, [search.factors[a] for a in spelling]
+        return ends_dp([column[-1] for column in costs], ends), ends
+    costs = _memo_costs(spelling, search.letters, search.pairs, search.unit)
+    den, f = search.den, [search.factors[a] for a in spelling]
 
-        def ends(i: int, j: int, r: int) -> int:
-            return costs[j][i] + max(r * f[i], r * f[j]) // den
+    def ends(i: int, j: int, r: int) -> int:
+        return costs[j][i] + max(r * f[i], r * f[j]) // den
 
-    return ends_dp([column[-1] for column in costs], ends), ends
+    return factor_dp(costs, f, den), ends
 
 
 def cheapest_spelling(
     letters: Sequence[Letter],
-    spellings: Collection[Sequence[int]],
+    first: Sequence[int],
+    rest: Callable[[], Collection[Sequence[int]]],
     scale: Callable[[Letter, Rat], Rat],
     floor: Rat | None = None,
 ) -> tuple[Rat, Match, Sequence[int]]:
-    """The first cheapest of spellings, index sequences into letters, under a
-    non-trivial scale, scale(x, r) with its factor or None: its norm, the match read
-    back from its value matrix, and the spelling.  One Spellings serves the search.  The
-    first spelling runs in its own letters' unit, so a search that ends there computes
-    no other factor; just before the second, the unit widens to every letter and to the
-    longest spelling, read once.  Each spelling is evaluated value-only by
-    spelling_values and compared as an integer (a Fraction without a factor); the
-    witness is read back for the winner only.  floor, a value no spelling goes below,
-    ends the search once the cheapest reaches it."""
-    best = None  # the first cheapest: value in search's unit, matrix, pair term, spelling
-    for k, spelling in enumerate(spellings):
-        if not k:
-            search = Spellings(letters, spelling, scale)
-        elif k == 1:
-            ratio = search.widen(range(len(letters)), max(map(len, spellings)))
-            best = best[0] * ratio, *best[1:]
-        values, ends = spelling_values(search, spelling)
-        if best is None or values[0][-1] < best[0]:
-            best = values[0][-1], values, ends, spelling
-            if floor is not None and best[0] * floor.denominator == floor.numerator * search.unit:
-                break
+    """The first cheapest of first and the spellings rest() returns, index sequences into
+    letters, under a non-trivial scale, scale(x, r) with its factor or None: its norm, the
+    match read back from its value matrix, and the spelling.  One Spellings serves the
+    search.  floor is a value no spelling goes below.  first runs in its own letters'
+    unit, and rest is called once, only if first's value misses floor: a search that
+    ends on first builds no other spelling and computes no other factor.  Before the
+    others the unit widens once, to every letter and to the longest spelling.  Each
+    spelling is evaluated once, value-only, by spelling_values and compared as an integer
+    (a Fraction without a factor), the search ends once the cheapest reaches floor, and
+    the witness is read back for the winner only."""
+    search = Spellings(letters, first, scale)
+    values, ends = spelling_values(search, first)
+    best = values[0][-1], values, ends, first  # value in search's unit, matrix, term, spelling
+
+    def reached(value: int | Rat) -> bool:
+        return floor is not None and value * floor.denominator == floor.numerator * search.unit
+
+    others = () if reached(best[0]) else rest()
+    if others:
+        ratio = search.widen(range(len(letters)), max(len(first), *map(len, others)))
+        best = best[0] * ratio, *best[1:]
+        for spelling in others:
+            values, ends = spelling_values(search, spelling)
+            if values[0][-1] < best[0]:
+                best = values[0][-1], values, ends, spelling
+                if reached(best[0]):
+                    break
     value, values, ends, spelling = best
     return Rat(value, search.unit), match_from_values(values, len(spelling), ends), spelling
 

@@ -185,7 +185,7 @@ def norm_theta_min(w: Word, scale: Scale) -> NormResult:
     """
     if scale is TRIVIAL_SCALE:
         return trivial_norm_dp(w)
-    value, witness, _ = cheapest_spelling(w.letters, [range(len(w))], scale)
+    value, witness, _ = cheapest_spelling(w.letters, range(len(w)), tuple, scale)
     return NormResult(value, witness)
 
 
@@ -226,6 +226,24 @@ def insertion_alphabet(w: Word) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+def _spellings_fit(n: int, size: int, budget: int, cap: int) -> bool:
+    """Whether budget insertion levels from a spelling of n letters, over an alphabet of
+    size letters, provably stay within cap spellings in all, level 0 included.  Level
+    b + 1 holds at most |level b| * (n + 2b + 1) * size spellings, each cancelling pair at
+    each gap of each spelling of level b, and at most size^(n + 2b + 2), every spelling
+    of its length; the sum stops once it passes cap.  Below size 2 a level holds at most
+    size^length <= 1 spelling, so the sum is 1 + budget * size at once."""
+    if size < 2:
+        return 1 + budget * size <= cap
+    level = total = 1
+    for b in range(budget):
+        level = min(level * (n + 2 * b + 1) * size, size ** (n + 2 * b + 2))
+        total += level
+        if total > cap:
+            return False
+    return True
+
+
 def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedNorm:
     """Interval for the scale norm of w.
 
@@ -238,14 +256,18 @@ def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedN
     only grows the candidate set, so the upper bound never increases.
     Ties keep the first spelling in search order, the reduced w first.
 
-    Every spelling is generated (and counted against SEARCH_CAP) before any
-    is evaluated.  A budget of SEARCH_CAP or more is refused before any is
-    built: each budget level adds a spelling longer than all earlier ones,
-    so that search would pass the cap anyway, after work cubic in the budget.
-    For a scale declared dominating, no spelling costs less than lower, so
-    the evaluation stops once the upper bound reaches lower; the result is
-    the same as that of the full search.  The trivial scale's norm is exact,
-    so the reduced w ends its search.
+    Spellings are counted against SEARCH_CAP as they are generated.  A budget
+    of SEARCH_CAP or more is refused before any is built: each budget level
+    adds a spelling longer than all earlier ones, so that search would pass
+    the cap anyway, after work cubic in the budget.  When _spellings_fit
+    proves the generation stays within the cap, the rest are generated only
+    if the reduced w leaves the search open, so the trivial scale, and a
+    dominating one whose reduced w costs lower, build no other spelling.
+    Otherwise every spelling is generated, or the cap refused, before any is
+    evaluated.  For a scale declared dominating, no spelling costs less than
+    lower, so the evaluation stops once the upper bound reaches lower; the
+    result is the same as that of the full search.  The trivial scale's norm
+    is exact, so the reduced w ends its search.
 
     graevmetric.cheapest_spelling runs the search, with lower as its floor
     for a scale declared dominating only; the spelling's Word is built for
@@ -262,29 +284,38 @@ def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedN
     # letter of rw and, from budget 1 on, is closed under inversion
     alphabet = insertion_alphabet(rw) if insertion_budget else rw.letters
     index = {a: i for i, a in enumerate(alphabet)}
-    pairs = [(i, index[a.inverse()]) for i, a in enumerate(alphabet)] if insertion_budget else []
     start = tuple(index[x] for x in rw.letters)
-    spellings = {start: None}  # insertion-ordered: the search order
-    frontier: list[tuple[int, ...]] = [start]
-    for _ in range(insertion_budget):
-        grown: list[tuple[int, ...]] = []
-        for base in frontier:
-            for p in range(len(base) + 1):
-                head, tail = base[:p], base[p:]
-                for pair in pairs:
-                    cand = head + pair + tail
-                    if cand not in spellings:
-                        if len(spellings) >= cap:
-                            raise ResourceLimitError(over_cap)
-                        spellings[cand] = None
-                        grown.append(cand)
-        frontier = grown
+
+    def rest() -> list[tuple[int, ...]]:
+        # the spellings after start in search order, breadth-first; at budget 0 the
+        # alphabet, rw's letters, need not hold their inverses, and no pair is inserted
+        pairs = [(i, index[a.inverse()]) for i, a in enumerate(alphabet) if insertion_budget]
+        seen, frontier, out = {start}, [start], []
+        for _ in range(insertion_budget):
+            grown: list[tuple[int, ...]] = []
+            for base in frontier:
+                for p in range(len(base) + 1):
+                    head, tail = base[:p], base[p:]
+                    for pair in pairs:
+                        cand = head + pair + tail
+                        if cand not in seen:
+                            if len(seen) >= cap:
+                                raise ResourceLimitError(over_cap)
+                            seen.add(cand)
+                            grown.append(cand)
+            out += grown
+            frontier = grown
+        return out
+
+    if not _spellings_fit(len(start), len(alphabet), insertion_budget, cap):
+        spellings = rest()  # built, or refused on the cap, before any evaluation
+        rest = lambda: spellings
     if scale is TRIVIAL_SCALE:
         exact = trivial_norm_dp(rw)
         return BoundedNorm(exact.value, exact.value, rw, exact.witness)
     lower = graev_norm_dp(rw)
     floor = lower if scale.declared_dominating else None
-    upper, witness, spelling = cheapest_spelling(alphabet, spellings, scale, floor)
+    upper, witness, spelling = cheapest_spelling(alphabet, start, rest, scale, floor)
     return BoundedNorm(lower, upper, Word(tuple([alphabet[i] for i in spelling])), witness)
 
 

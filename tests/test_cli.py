@@ -208,10 +208,13 @@ def test_enumeration_cap_exits_3(capsys, monkeypatch):
 
 def test_over_cap_insertion_budgets_exit_3_at_once():
     # each budget level adds a longer spelling, so a budget of 20,000 or more
-    # passes the cap; building e's spellings first took time cubic in the budget
+    # passes the cap; building e's spellings first took time cubic in the budget.
+    # The last word closes at budget 0 (lower 2/1 upper 2/1), but its budget-3
+    # spellings may pass the cap, so they are built, and refused, before any is
+    # evaluated
     src = Path(graev.cli.__file__).resolve().parents[1]
     norm = [sys.executable, "-m", "graev.cli", "norm", "--scale", "weighted", "--budget"]
-    for budget, w in (("20000", "e"), ("1000000000", "[1] [1]^-1")):
+    for budget, w in (("20000", "e"), ("1000000000", "[1] [1]^-1"), ("3", "[1,2] [3]^-1 [0,0,4]")):
         start = time.perf_counter()
         done = subprocess.run(
             [*norm, budget, w],

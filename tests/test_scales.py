@@ -25,7 +25,7 @@ from graev.freegroup import (
     word,
 )
 from graev.graevmetric import cheapest_spelling, graev_norm_dp
-from graev.matching import Match, enumerate_matches, is_match
+from graev.matching import Match, enumerate_matches, is_match, match_from_values
 from graev.sampling import sample_match, sample_reduced_word
 from graev.scales import (
     BoundedNorm,
@@ -410,6 +410,83 @@ def test_norm_bounds_equals_exhaustive_search(tmp_path, monkeypatch):
             assert norm_bounds(w, scale, 3) == exhaustive_bounds(w, scale, 3, 2000)
 
 
+def test_spelling_count_bound_never_undercounts(monkeypatch):
+    # norm_bounds defers generation only where _spellings_fit proves it fits the
+    # cap: there its eager generation, which refuses at the cap, builds every
+    # spelling.  The words are test_norm_bounds_equals_exhaustive_search's
+    pts = [Point(()), Point((1,)), Point((1, 2)), Point((2,)), Point((0, 0, 3))]
+    rng = random.Random(53)
+    words = [word(Letter(s, p)) for p in pts for s in (1, -1)]
+    words += [sample_reduced_word(rng, pts, 2) for _ in range(6)]
+    words += [IDENTITY_WORD, parse_word("[1] [1]^-1")]
+    fit = graev.scales._spellings_fit
+    monkeypatch.setattr(graev.scales, "_spellings_fit", lambda *args: False)  # generate first
+    fits = 0
+    for w in words:
+        rw = reduce_word(w)
+        for budget in range(4):
+            size = len(insertion_alphabet(rw) if budget else rw.letters)
+            for cap in (1, 2, 9, 10, 50, 400, 20000):
+                if fit(len(rw), size, budget, cap):
+                    fits += 1
+                    monkeypatch.setattr(graev.scales, "SEARCH_CAP", cap)
+                    norm_bounds(rw, TRIVIAL_SCALE, budget)  # the cap error would fail here
+    assert fits > 100
+
+
+def test_identity_word_ends_on_its_reduced_spelling(monkeypatch):
+    # e costs the lower bound 0 at once, and its spellings provably fit the cap up
+    # to budget 19,999, so no other spelling is generated (building them took
+    # time cubic in the budget: 1.5 s at 400)
+    evaluate, evaluated = graev.graevmetric.spelling_values, []
+    monkeypatch.setattr(
+        graev.graevmetric,
+        "spelling_values",
+        lambda search, s: evaluated.append(s) or evaluate(search, s),
+    )
+    for budget in (400, 19999):
+        evaluated.clear()
+        start = time.perf_counter()
+        b = norm_bounds(IDENTITY_WORD, weighted_scale(), budget)
+        assert time.perf_counter() - start < 0.5  # under 1 ms here
+        assert b == BoundedNorm(ZERO, ZERO, IDENTITY_WORD, Match((0,)))
+        assert len(evaluated) == 1
+
+
+def test_factor_loop_equals_ends_dp_on_the_same_pair_term(tmp_path):
+    # factor_dp writes the integer pair term inline; ends_dp, called with the same
+    # term, is its oracle: whole value matrices and read-back witnesses agree, on
+    # negative values (the file scale) and on fractional factors (the weighted one)
+    path = tmp_path / "negative.scale"
+    path.write_text("0 = -1/2\n1 = 1/3\n2 = -1/4\n")
+    points = [(), (1,), (3,), (0, 1), (1, 2), (4, 1), (2, 1, 1), (0, 0, 3), (1, 0, 5)]
+    letters = [x for p in points for x in (pos(*p), neg(*p))] + [IDENTITY]
+    scales = [load_scale_file(str(path)), weighted_scale({0: F(3, 7), 1: F(5, 11), 2: F(2, 3)})]
+    rng = random.Random(131)
+    spellings = [
+        tuple(rng.randrange(len(letters)) for _ in range(n)) for n in range(1, 13) for _ in range(15)
+    ]
+    for scale in scales:
+        search = graev.graevmetric.Spellings(letters, range(len(letters)), scale)
+        search.widen(range(len(letters)), 12)
+        negative = False
+        for spelling in spellings:
+            costs = graev.graevmetric._memo_costs(spelling, letters, search.pairs, search.unit)
+            den, f = search.den, [search.factors[a] for a in spelling]
+
+            def term(i, j, r):
+                return costs[j][i] + max(r * f[i], r * f[j]) // den
+
+            values = graev.graevmetric.factor_dp(costs, f, den)
+            oracle = graev.graevmetric.ends_dp([column[-1] for column in costs], term)
+            assert values == oracle, (scale.name, spelling)
+            n = len(spelling)
+            assert match_from_values(values, n, term) == match_from_values(oracle, n, term)
+            assert graev.graevmetric.spelling_values(search, spelling)[0] == values
+            negative |= any(v < 0 for row in values for v in row)
+        assert negative == (scale is scales[0])
+
+
 def test_spellings_are_evaluated_value_only_through_module_spelling_values(monkeypatch, capsys):
     # a benchmark span can wrap the per-spelling function by this module-level
     # name: each evaluated spelling runs it once, value-only, the witness is read
@@ -528,7 +605,8 @@ def test_search_unit_covers_letters_the_first_spelling_lacks(tmp_path):
             norms = [norm_theta_min(Word(tuple(letters[i] for i in s)), scale) for s in spellings]
             k = min(range(len(spellings)), key=lambda k: norms[k].value)  # the first minimum
             expected = norms[k].value, norms[k].witness, spellings[k]
-            assert cheapest_spelling(letters, spellings, scale) == expected, (scale.name, spellings)
+            got = cheapest_spelling(letters, spellings[0], lambda: spellings[1:], scale)
+            assert got == expected, (scale.name, spellings)
 
 
 def test_declared_dominating(tmp_path):
