@@ -226,22 +226,33 @@ def insertion_alphabet(w: Word) -> tuple[Letter, ...]:
     return tuple(out)
 
 
-def _spellings_fit(n: int, size: int, budget: int, cap: int) -> bool:
-    """Whether budget insertion levels from a spelling of n letters, over an alphabet of
-    size letters, provably stay within cap spellings in all, level 0 included.  Level
-    b + 1 holds at most |level b| * (n + 2b + 1) * size spellings, each cancelling pair at
-    each gap of each spelling of level b, and at most size^(n + 2b + 2), every spelling
-    of its length; the sum stops once it passes cap.  Below size 2 a level holds at most
-    size^length <= 1 spelling, so the sum is 1 + budget * size at once."""
-    if size < 2:
-        return 1 + budget * size <= cap
-    level = total = 1
-    for b in range(budget):
-        level = min(level * (n + 2 * b + 1) * size, size ** (n + 2 * b + 2))
-        total += level
-        if total > cap:
-            return False
-    return True
+def _spelling_total(n: int, size: int, budget: int, cap: int) -> int:
+    """The number of spellings within budget insertion levels of a reduced spelling of
+    n letters, level 0 included, or a partial sum past cap once it passes cap.  From
+    budget 1 on, the alphabet of size letters is e and inverse pairs: the Cayley graph of
+    their free product (a Z per pair, a Z/2 for e) is the size-regular tree, and the
+    spellings of level b are the words of n + 2b letters that cancel to the reduced
+    one, the walks of n + 2b steps from a vertex at distance n to the root.  A walk of t
+    steps, u of them away from the root, stands at distance n - t + 2u; it steps back
+    one way, and away size ways from the root, size - 1 elsewhere.  Level b + 1 holds at
+    least size times level b (each of size pairs appended), so from size 2 on the
+    levels past cap.bit_length() need no counting; e alone spells level b one way."""
+    if not budget or size < 2:
+        return 1 + budget
+    budget = min(budget, cap.bit_length())
+    walks, total = [1] + [0] * budget, 1
+    for t in range(1, n + 2 * budget + 1):
+        d = n - t  # the distance after t steps with none away
+        walks = [walks[0] if d >= 0 else 0] + [
+            (walks[u] if d + 2 * u >= 0 else 0)
+            + walks[u - 1] * (size if d + 2 * u == 1 else size - 1)
+            for u in range(1, budget + 1)
+        ]
+        if d < 0 and not d % 2:  # back at the root after t = n + 2b steps: level b
+            total += walks[-d // 2]
+            if total > cap:
+                break
+    return total
 
 
 def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedNorm:
@@ -256,18 +267,32 @@ def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedN
     only grows the candidate set, so the upper bound never increases.
     Ties keep the first spelling in search order, the reduced w first.
 
-    Spellings are counted against SEARCH_CAP as they are generated.  A budget
-    of SEARCH_CAP or more is refused before any is built: each budget level
-    adds a spelling longer than all earlier ones, so that search would pass
-    the cap anyway, after work cubic in the budget.  When _spellings_fit
-    proves the generation stays within the cap, the rest are generated only
-    if the reduced w leaves the search open, so the trivial scale, and a
-    dominating one whose reduced w costs lower, build no other spelling.
-    Otherwise every spelling is generated, or the cap refused, before any is
-    evaluated.  For a scale declared dominating, no spelling costs less than
-    lower, so the evaluation stops once the upper bound reaches lower; the
-    result is the same as that of the full search.  The trivial scale's norm
-    is exact, so the reduced w ends its search.
+    The cap: _spelling_total counts the spellings of the budget exactly, from the
+    alphabet's Cayley tree, and more than SEARCH_CAP of them are refused before any is
+    built, whatever the scale; each level adds at least one spelling, so a budget of
+    SEARCH_CAP or more is always refused.  Within the cap the reduced w is evaluated
+    first, and the others are generated, level by level, only if it leaves the search
+    open, so the trivial scale, and a dominating one whose reduced w costs lower, build
+    no other spelling.  For a scale declared dominating, no spelling costs less than
+    lower, so the evaluation stops once the upper bound reaches lower; the result is the
+    same as that of the full search.  The trivial scale's norm is exact, so the reduced
+    w ends its search.
+
+    A dominating scale with a factor (at least 1, so monotone) never needs a spelling S
+    that holds e.  Deleting every e gives a spelling S' of the same reduced word; S
+    holds an even number of e's, so S' sits at an earlier level, and S' costs no more:
+    map each match on S to one on S' that drops the e's and leaves their partners alone.
+      - An e alone costs 0.
+      - An (e, e) pair around inner value r costs r; splicing its inner blocks into
+        the parent costs r.
+      - An (e, y) pair costs 1 + max(r, f_y * r) >= 1 + r; y alone plus the spliced
+        inner blocks costs 1 + r.
+      - Any other pair costs d + max(f_x * r, f_y * r), monotone in its inner r.
+    So no spelling that holds e is the first cheapest or the first to reach lower, and
+    generation leaves out the (e, e) pair: a spelling without e grows only from one
+    without e, so the rest keep their order and the bounds, witness and ties are the
+    full search's.  (w = e, whose reduced spelling is e itself, costs lower = 0 at
+    once.)  A callable-only or non-dominating scale generates every spelling.
 
     graevmetric.cheapest_spelling runs the search, with lower as its floor
     for a scale declared dominating only; the spelling's Word is built for
@@ -275,41 +300,41 @@ def norm_bounds(w: ReducedWord, scale: Scale, insertion_budget: int) -> BoundedN
     """
     if insertion_budget < 0:
         raise ValueError("insertion budget must be >= 0")
-    cap = SEARCH_CAP
-    over_cap = f"insertion search exceeded the candidate cap {cap}; lower the budget"
-    if insertion_budget >= cap:
-        raise ResourceLimitError(over_cap)
     rw = reduce_word(w)
     # spellings are tuples of indices into the alphabet, which holds every
     # letter of rw and, from budget 1 on, is closed under inversion
     alphabet = insertion_alphabet(rw) if insertion_budget else rw.letters
+    cap = SEARCH_CAP
+    if _spelling_total(len(rw), len(alphabet), insertion_budget, cap) > cap:
+        raise ResourceLimitError(
+            f"insertion search exceeded the candidate cap {cap}; lower the budget"
+        )
     index = {a: i for i, a in enumerate(alphabet)}
     start = tuple(index[x] for x in rw.letters)
+    skip_e = scale.declared_dominating and scale.factor is not None
 
     def rest() -> list[tuple[int, ...]]:
-        # the spellings after start in search order, breadth-first; at budget 0 the
-        # alphabet, rw's letters, need not hold their inverses, and no pair is inserted
-        pairs = [(i, index[a.inverse()]) for i, a in enumerate(alphabet) if insertion_budget]
-        seen, frontier, out = {start}, [start], []
+        # the spellings after start in search order, breadth-first, none holding e
+        # when skip_e; at budget 0 the alphabet, rw's letters, need not hold their
+        # inverses, and no pair is inserted.  Level b's spellings are n + 2b letters
+        # long, so only repeats within a level are dropped
+        pairs = [
+            (i, index[a.inverse()])
+            for i, a in enumerate(alphabet)
+            if insertion_budget and not (skip_e and a.is_identity)
+        ]
+        frontier, out = [start], []
         for _ in range(insertion_budget):
-            grown: list[tuple[int, ...]] = []
+            grown: dict[tuple[int, ...], None] = {}  # insertion-ordered
             for base in frontier:
                 for p in range(len(base) + 1):
                     head, tail = base[:p], base[p:]
                     for pair in pairs:
-                        cand = head + pair + tail
-                        if cand not in seen:
-                            if len(seen) >= cap:
-                                raise ResourceLimitError(over_cap)
-                            seen.add(cand)
-                            grown.append(cand)
-            out += grown
-            frontier = grown
+                        grown[head + pair + tail] = None
+            frontier = list(grown)
+            out += frontier
         return out
 
-    if not _spellings_fit(len(start), len(alphabet), insertion_budget, cap):
-        spellings = rest()  # built, or refused on the cap, before any evaluation
-        rest = lambda: spellings
     if scale is TRIVIAL_SCALE:
         exact = trivial_norm_dp(rw)
         return BoundedNorm(exact.value, exact.value, rw, exact.witness)

@@ -333,12 +333,19 @@ def test_norm_bounds_search_cap(monkeypatch):
         norm_bounds(w, WEIGHTED, -1)
 
 
-def exhaustive_bounds(w, scale, budget, cap):
-    """The insertion search with no early exit: Letter-tuple spellings in
-    breadth-first order, each evaluated by the rational DP of a
-    callable-only copy of the scale, the first strict minimum kept."""
-    rw = reduce_word(w)
-    oracle = Scale(scale.name, scale.evaluate)
+def search_words():
+    # test_norm_bounds_equals_exhaustive_search's words
+    pts = [Point(()), Point((1,)), Point((1, 2)), Point((2,)), Point((0, 0, 3))]
+    rng = random.Random(53)
+    words = [word(Letter(s, p)) for p in pts for s in (1, -1)]
+    words += [sample_reduced_word(rng, pts, 2) for _ in range(6)]
+    return words + [IDENTITY_WORD, parse_word("[1] [1]^-1")]  # both search from e
+
+
+def full_spellings(rw, budget, cap=None):
+    """The spellings of the reduced rw within budget insertions from the whole
+    insertion_alphabet, as Letter tuples in breadth-first order: generated
+    eagerly, the cap error raised on the first past cap."""
     alphabet = insertion_alphabet(rw)
     seen = {rw.letters}
     order = [rw.letters]
@@ -350,7 +357,7 @@ def exhaustive_bounds(w, scale, budget, cap):
                 for a in alphabet:
                     cand = base[:p] + (a, a.inverse()) + base[p:]
                     if cand not in seen:
-                        if len(seen) >= cap:
+                        if cap is not None and len(seen) >= cap:
                             raise ResourceLimitError(
                                 f"insertion search exceeded the candidate cap {cap}; "
                                 "lower the budget"
@@ -359,6 +366,16 @@ def exhaustive_bounds(w, scale, budget, cap):
                         grown.append(cand)
                         order.append(cand)
         frontier = grown
+    return order
+
+
+def exhaustive_bounds(w, scale, budget, cap):
+    """The insertion search with no early exit: full_spellings' spellings,
+    each evaluated by the rational DP of a callable-only copy of the scale,
+    the first strict minimum kept."""
+    rw = reduce_word(w)
+    oracle = Scale(scale.name, scale.evaluate)
+    order = full_spellings(rw, budget, cap)
     best, best_word = None, None
     for letters in order:
         res = norm_theta_min(Word(letters), oracle)
@@ -386,11 +403,7 @@ def test_norm_bounds_equals_exhaustive_search(tmp_path, monkeypatch):
         load_scale_file(str(negative)),
         broken_scale(),
     ]
-    pts = [Point(()), Point((1,)), Point((1, 2)), Point((2,)), Point((0, 0, 3))]
-    rng = random.Random(53)
-    words = [word(Letter(s, p)) for p in pts for s in (1, -1)]
-    words += [sample_reduced_word(rng, pts, 2) for _ in range(6)]
-    words += [IDENTITY_WORD, parse_word("[1] [1]^-1")]  # both search from e
+    words = search_words()
     # one-letter words of depth <= 1 have 10 spellings at budget 1, so caps 9
     # and 10 sit on either side of the cap error; from budget = cap on,
     # norm_bounds refuses before it builds a spelling
@@ -410,28 +423,70 @@ def test_norm_bounds_equals_exhaustive_search(tmp_path, monkeypatch):
             assert norm_bounds(w, scale, 3) == exhaustive_bounds(w, scale, 3, 2000)
 
 
-def test_spelling_count_bound_never_undercounts(monkeypatch):
-    # norm_bounds defers generation only where _spellings_fit proves it fits the
-    # cap: there its eager generation, which refuses at the cap, builds every
-    # spelling.  The words are test_norm_bounds_equals_exhaustive_search's
-    pts = [Point(()), Point((1,)), Point((1, 2)), Point((2,)), Point((0, 0, 3))]
-    rng = random.Random(53)
-    words = [word(Letter(s, p)) for p in pts for s in (1, -1)]
-    words += [sample_reduced_word(rng, pts, 2) for _ in range(6)]
-    words += [IDENTITY_WORD, parse_word("[1] [1]^-1")]
-    fit = graev.scales._spellings_fit
-    monkeypatch.setattr(graev.scales, "_spellings_fit", lambda *args: False)  # generate first
-    fits = 0
-    for w in words:
+def test_spelling_total_equals_eager_generation():
+    # the Cayley-tree walk count is the number of spellings full_spellings builds,
+    # with caps on either side of each real total; past the cap it is any sum past it
+    for w in search_words():
         rw = reduce_word(w)
         for budget in range(4):
+            total = len(full_spellings(rw, budget))
             size = len(insertion_alphabet(rw) if budget else rw.letters)
-            for cap in (1, 2, 9, 10, 50, 400, 20000):
-                if fit(len(rw), size, budget, cap):
-                    fits += 1
+            for cap in (1, 2, 9, 10, 50, 400, 20000, total - 1, total, total + 1):
+                count = graev.scales._spelling_total(len(rw), size, budget, cap)
+                assert count == total if total <= cap else count > cap, (w, budget, cap)
+    # budget-3 totals a per-level upper bound overcounted about fivefold
+    for text, total in (("[1] [2]^-1", 7186), ("[1,2] [1]", 7186), ("[1] [1,2] [1]^-1", 11956)):
+        rw = reduce_word(parse_word(text))
+        assert len(full_spellings(rw, 3)) == total
+        size = len(insertion_alphabet(rw))
+        assert graev.scales._spelling_total(len(rw), size, 3, graev.scales.SEARCH_CAP) == total
+
+
+def test_dominating_factor_scales_never_evaluate_a_spelling_with_e(tmp_path, monkeypatch):
+    # under a dominating factor scale the e-free deletion of a spelling comes earlier
+    # and costs no more, so generation leaves out the (e, e) pair: every bound,
+    # witness and cap error is the full-alphabet search's, the cap decided by the full
+    # count (caps just below and at each total), and no evaluated spelling holds e but
+    # e's own reduced one.  search_words all close on their reduced spelling, so two
+    # three-letter words that stay open to budget 2 join them
+    nonneg = tmp_path / "nonneg.scale"
+    nonneg.write_text("0 = 1/4\n2 = 3/8\n")
+    negative = tmp_path / "negative.scale"
+    negative.write_text("0 = -1/2\n1 = 1/3\n2 = -1/4\n")
+    evaluate, held = graev.graevmetric.spelling_values, []
+    monkeypatch.setattr(
+        graev.graevmetric,
+        "spelling_values",
+        lambda search, s: held.append(any(search.letters[i].is_identity for i in s))
+        or evaluate(search, s),
+    )
+    open_words = [parse_word("[1,2]^-1 [0]^-1 [1]"), parse_word("[1] [1,2] [1]^-1")]
+    for scale in (WEIGHTED, load_scale_file(str(nonneg))):
+        for w in search_words() + open_words:
+            rw = reduce_word(w)
+            for budget in range(4 if len(rw) <= 2 else 3):
+                total = len(full_spellings(rw, budget))
+                for cap in sorted({max(total - 1, 1), total}):
                     monkeypatch.setattr(graev.scales, "SEARCH_CAP", cap)
-                    norm_bounds(rw, TRIVIAL_SCALE, budget)  # the cap error would fail here
-    assert fits > 100
+                    held.clear()
+                    found = bounds_or_cap_error(norm_bounds, w, scale, budget)
+                    assert rw == IDENTITY_WORD or not any(held), (w, budget)
+                    if budget == 3 and cap == total and total > 216:
+                        # past the depth-0 letters' 216 spellings the oracle takes
+                        # 0.4-3 s a word, about 14 s per scale, and nothing is pruned:
+                        # two adjacent letters pair at inner value 0, so a word of up
+                        # to two letters closes on its reduced spelling, whose value
+                        # the budget-0 oracle checked
+                        assert len(held) == 1 and found == norm_bounds(w, scale, 0)
+                    else:
+                        oracle = bounds_or_cap_error(exhaustive_bounds, w, scale, budget, cap)
+                        assert found == oracle, (w, budget, cap)
+    # the negative file scale is not dominating: its search keeps the spellings with e
+    monkeypatch.setattr(graev.scales, "SEARCH_CAP", 20000)
+    scale = load_scale_file(str(negative))
+    oracle = exhaustive_bounds(open_words[0], scale, 2, 20000)
+    held.clear()
+    assert norm_bounds(open_words[0], scale, 2) == oracle and any(held)
 
 
 def test_identity_word_ends_on_its_reduced_spelling(monkeypatch):
@@ -524,7 +579,9 @@ def test_spellings_are_evaluated_value_only_through_module_spelling_values(monke
         globals(), "norm_theta_min", lambda w, s: oracle_spellings.append(w) or oracle(w, s)
     )
     assert b == exhaustive_bounds(w, WEIGHTED, 2, graev.scales.SEARCH_CAP)
-    assert evaluated == distinct == len(oracle_spellings) > 1
+    # the oracle evaluates every spelling, the search only those without e
+    e_free = [s for s in oracle_spellings if not any(x.is_identity for x in s.letters)]
+    assert evaluated == distinct == len(e_free) == 403
     for seen in (spellings, read_backs, pairs):
         seen.clear()
     assert cli.main(["norm", "--scale", "weighted", "--budget", "1", "[1]"]) == 0
@@ -539,6 +596,9 @@ def test_spellings_are_evaluated_value_only_through_module_spelling_values(monke
     assert len(read_backs) == 1
     assert len(pairs) == len(set(pairs)) == 49
     assert set(units) == {4}  # 2^depth, the alphabet's deepest letter [1,2] at depth 2
+    # without a factor the (e, e) pair stays: every spelling runs, some holding e
+    e = insertion_alphabet(w).index(IDENTITY)
+    assert len(spellings) == len(oracle_spellings) and any(e in s for s in spellings)
 
 
 def test_search_computes_factors_lazily():
